@@ -3,8 +3,8 @@
 //
 // The tiered row store's bet is RecD's own observation: ids repeat so
 // heavily within and across sessions that a small hot tier absorbs
-// almost every embedding fetch while the bulk of the table lives
-// compressed in cold segments. This bench measures that bet directly at
+// almost every embedding fetch while the bulk of the table lives in raw,
+// checksummed cold segments. This bench measures that bet directly at
 // the table level: a Zipf-skewed trace of user rows (sessions reusing
 // the same sparse ids) is replayed through one EmbeddingTable per
 // configuration, sweeping the hot capacity from 0 (everything cold)

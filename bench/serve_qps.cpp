@@ -169,7 +169,7 @@ int main(int argc, char** argv) {
   // (docs/ARCHITECTURE.md §13) with a hot tier far smaller than the
   // table; scores stay bitwise equal to the dense replicas (the
   // tier-placement determinism rule), so the sweep isolates the latency
-  // and hit-rate cost of serving from compressed cold segments.
+  // and hit-rate cost of serving from cold segments.
   PrintHeader("serving: tiered embedding store (window=5ms, K=8)");
   std::printf("%-26s %7s %8s %9s %9s %9s %8s %12s\n", "config", "qps",
               "b.rows", "p50us", "p95us", "p99us", "dedupe", "lookups");

@@ -63,7 +63,8 @@ void WriteChecksummedFile(const std::string& path, std::uint32_t magic,
 
 std::vector<std::byte> ReadChecksummedFile(const std::string& path,
                                            std::uint32_t magic,
-                                           std::uint32_t max_version) {
+                                           std::uint32_t max_version,
+                                           std::uint32_t* version_out) {
   File f(std::fopen(path.c_str(), "rb"));
   if (!f) {
     throw ChecksumError("checksum_file: cannot open " + path);
@@ -106,6 +107,7 @@ std::vector<std::byte> ReadChecksummedFile(const std::string& path,
     throw ChecksumError("checksum_file: " + path +
                         " has trailing bytes after the checksum");
   }
+  if (version_out != nullptr) *version_out = version;
   return payload;
 }
 

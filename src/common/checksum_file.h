@@ -46,9 +46,12 @@ void WriteChecksummedFile(const std::string& path, std::uint32_t magic,
 
 /// Reads and fully validates `path`; returns the payload. `magic` must
 /// match the producer's and `max_version` gates forward compatibility:
-/// files with version > max_version are rejected as unsupported.
+/// files with version > max_version are rejected as unsupported. If
+/// `version_out` is non-null it receives the file's version, so a reader
+/// that accepts only one format can reject older ones.
 [[nodiscard]] std::vector<std::byte> ReadChecksummedFile(
-    const std::string& path, std::uint32_t magic, std::uint32_t max_version);
+    const std::string& path, std::uint32_t magic, std::uint32_t max_version,
+    std::uint32_t* version_out = nullptr);
 
 /// Flips one payload byte of an existing checksummed file in place —
 /// the corruption half of the fault-injection harness

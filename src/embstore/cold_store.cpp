@@ -15,27 +15,21 @@ namespace {
 
 // Checksummed-envelope tag of a file-backed cold segment ("RCLD").
 constexpr std::uint32_t kSegmentMagic = 0x52434c44u;
-constexpr std::uint32_t kSegmentVersion = 1;
+// Version 1 held LZ77-compressed rows; version 2 holds them raw. Reads
+// accept exactly this version.
+constexpr std::uint32_t kSegmentVersion = 2;
 
 // Process-wide counter giving each store a unique subdirectory, so many
 // tables can point at one base cold_dir without colliding.
 std::atomic<std::uint64_t> g_store_counter{0};
 
-[[nodiscard]] std::span<const std::byte> AsBytes(
-    std::span<const float> data) {
-  return {reinterpret_cast<const std::byte*>(data.data()),
-          data.size() * sizeof(float)};
-}
-
 }  // namespace
 
 ColdStore::ColdStore(const nn::DenseMatrix& initial,
-                     std::size_t rows_per_segment,
-                     compress::CodecKind codec, const std::string& dir)
+                     std::size_t rows_per_segment, const std::string& dir)
     : rows_(initial.rows()),
       dim_(initial.cols()),
-      rows_per_segment_(rows_per_segment),
-      codec_(codec) {
+      rows_per_segment_(rows_per_segment) {
   if (rows_per_segment_ == 0) {
     throw std::invalid_argument("ColdStore: rows_per_segment must be >= 1");
   }
@@ -49,15 +43,10 @@ ColdStore::ColdStore(const nn::DenseMatrix& initial,
                            ": " + ec.message());
     }
   }
-  const std::size_t n =
+  num_segments_ =
       rows_ == 0 ? 0 : (rows_ + rows_per_segment_ - 1) / rows_per_segment_;
-  segment_sizes_.assign(n, 0);
-  if (dir_.empty()) mem_segments_.resize(n);
-  for (std::size_t s = 0; s < n; ++s) {
-    const std::size_t first = SegmentFirstRow(s);
-    StoreSegment(s, initial.data().subspan(first * dim_,
-                                           SegmentRows(s) * dim_));
-  }
+  if (dir_.empty()) mem_segments_.resize(num_segments_);
+  Load(initial);
 }
 
 std::size_t ColdStore::SegmentRows(std::size_t s) const {
@@ -68,28 +57,29 @@ std::size_t ColdStore::SegmentRows(std::size_t s) const {
   return std::min(rows_per_segment_, rows_ - first);
 }
 
+std::size_t ColdStore::RowOffset(std::size_t s, std::size_t row) const {
+  const std::size_t first = SegmentFirstRow(s);
+  if (row < first || row - first >= SegmentRows(s)) {
+    throw std::out_of_range("ColdStore: row outside segment");
+  }
+  return kFrameBytes + (row - first) * dim_ * sizeof(float);
+}
+
 std::vector<std::byte> ColdStore::EncodePayload(
     std::size_t s, std::span<const float> data) const {
-  const auto& codec = compress::GetCodec(codec_);
-  auto compressed = codec.Compress(AsBytes(data));
+  if (data.size() != SegmentRows(s) * dim_) {
+    throw std::invalid_argument("ColdStore: segment data size mismatch");
+  }
   common::ByteWriter w;
   w.PutU64(rows_);
   w.PutU64(dim_);
   w.PutU64(SegmentFirstRow(s));
   w.PutU64(SegmentRows(s));
-  w.PutU8(static_cast<std::uint8_t>(codec_));
-  w.PutU64(data.size() * sizeof(float));
-  w.PutVarint(compressed.size());
-  w.PutBytes(compressed);
+  w.PutBytes(std::as_bytes(data));
   return std::move(w).Take();
 }
 
-void ColdStore::StoreSegment(std::size_t s, std::span<const float> data) {
-  if (data.size() != SegmentRows(s) * dim_) {
-    throw std::invalid_argument("ColdStore: segment data size mismatch");
-  }
-  auto payload = EncodePayload(s, data);
-  segment_sizes_[s] = payload.size();
+void ColdStore::StorePayload(std::size_t s, std::vector<std::byte> payload) {
   if (dir_.empty()) {
     mem_segments_[s].checksum = common::HashBytes(payload, kSegmentVersion);
     mem_segments_[s].payload = std::move(payload);
@@ -104,10 +94,10 @@ void ColdStore::StoreSegment(std::size_t s, std::span<const float> data) {
   }
 }
 
-std::vector<float> ColdStore::ReadSegment(std::size_t s,
-                                          ReadCounters* counters) const {
+std::span<const std::byte> ColdStore::VerifiedPayload(
+    std::size_t s, std::vector<std::byte>& file_buf,
+    ReadCounters* counters) const {
   const std::size_t seg_rows = SegmentRows(s);
-  std::vector<std::byte> file_payload;
   std::span<const std::byte> payload;
   if (dir_.empty()) {
     const auto& seg = mem_segments_[s];
@@ -116,55 +106,83 @@ std::vector<float> ColdStore::ReadSegment(std::size_t s,
     }
     payload = seg.payload;
   } else {
+    std::uint32_t version = 0;
     try {
-      file_payload = common::ReadChecksummedFile(SegmentPath(s),
-                                                 kSegmentMagic,
-                                                 kSegmentVersion);
+      file_buf = common::ReadChecksummedFile(SegmentPath(s), kSegmentMagic,
+                                             kSegmentVersion, &version);
     } catch (const common::ChecksumError& e) {
       throw ColdStoreError(std::string("ColdStore: segment ") +
                            SegmentPath(s) + " rejected: " + e.what());
     }
-    payload = file_payload;
+    if (version != kSegmentVersion) {
+      throw ColdStoreError("ColdStore: segment " + SegmentPath(s) +
+                           " has old format version " +
+                           std::to_string(version));
+    }
+    payload = file_buf;
   }
 
-  try {
-    common::ByteReader r(payload);
-    if (r.GetU64() != rows_ || r.GetU64() != dim_ ||
-        r.GetU64() != SegmentFirstRow(s) || r.GetU64() != seg_rows ||
-        r.GetU8() != static_cast<std::uint8_t>(codec_)) {
-      throw ColdStoreError("ColdStore: segment header mismatch");
-    }
-    const std::uint64_t raw_size = r.GetU64();
-    if (raw_size != seg_rows * dim_ * sizeof(float)) {
-      throw ColdStoreError("ColdStore: segment raw size mismatch");
-    }
-    const std::size_t compressed_size =
-        static_cast<std::size_t>(r.GetVarint());
-    const auto compressed = r.GetBytes(compressed_size);
-    const auto& codec = compress::GetCodec(codec_);
-    const auto raw = codec.Decompress(compressed);
-    if (raw.size() != raw_size) {
-      throw ColdStoreError("ColdStore: decompressed size mismatch");
-    }
-    if (counters != nullptr) {
-      counters->segments += 1;
-      counters->compressed_bytes += payload.size();
-      counters->raw_bytes += raw.size();
-    }
-    std::vector<float> out(seg_rows * dim_);
-    std::memcpy(out.data(), raw.data(), raw.size());
-    return out;
-  } catch (const ColdStoreError&) {
-    throw;
-  } catch (const std::exception& e) {
-    // ByteStreamError, codec errors: surface as the typed cold error.
-    throw ColdStoreError(std::string("ColdStore: segment decode failed: ") +
-                         e.what());
+  if (payload.size() != kFrameBytes + seg_rows * dim_ * sizeof(float)) {
+    throw ColdStoreError("ColdStore: segment size mismatch");
+  }
+  common::ByteReader r(payload.first(kFrameBytes));
+  if (r.GetU64() != rows_ || r.GetU64() != dim_ ||
+      r.GetU64() != SegmentFirstRow(s) || r.GetU64() != seg_rows) {
+    throw ColdStoreError("ColdStore: segment frame mismatch");
+  }
+  if (counters != nullptr) {
+    counters->segments += 1;
+    counters->bytes += payload.size();
+  }
+  return payload;
+}
+
+std::vector<float> ColdStore::ReadSegment(std::size_t s,
+                                          ReadCounters* counters) const {
+  std::vector<std::byte> file_buf;
+  const auto payload = VerifiedPayload(s, file_buf, counters);
+  std::vector<float> out(SegmentRows(s) * dim_);
+  std::memcpy(out.data(), payload.data() + kFrameBytes,
+              out.size() * sizeof(float));
+  return out;
+}
+
+void ColdStore::ReadRows(std::size_t s, std::span<const std::size_t> rows,
+                         std::span<float* const> dst,
+                         ReadCounters* counters) const {
+  if (rows.size() != dst.size()) {
+    throw std::invalid_argument("ColdStore::ReadRows: rows/dst mismatch");
+  }
+  std::vector<std::byte> file_buf;
+  const auto payload = VerifiedPayload(s, file_buf, counters);
+  for (std::size_t k = 0; k < rows.size(); ++k) {
+    std::memcpy(dst[k], payload.data() + RowOffset(s, rows[k]),
+                dim_ * sizeof(float));
   }
 }
 
 void ColdStore::WriteSegment(std::size_t s, std::span<const float> data) {
-  StoreSegment(s, data);
+  StorePayload(s, EncodePayload(s, data));
+}
+
+void ColdStore::WriteRows(std::size_t s, std::span<const std::size_t> rows,
+                          std::span<const float* const> src) {
+  if (rows.size() != src.size()) {
+    throw std::invalid_argument("ColdStore::WriteRows: rows/src mismatch");
+  }
+  // Verify first: re-checksumming a damaged segment would bless it.
+  std::vector<std::byte> file_buf;
+  (void)VerifiedPayload(s, file_buf, nullptr);
+  auto& payload = dir_.empty() ? mem_segments_[s].payload : file_buf;
+  for (std::size_t k = 0; k < rows.size(); ++k) {
+    std::memcpy(payload.data() + RowOffset(s, rows[k]), src[k],
+                dim_ * sizeof(float));
+  }
+  if (dir_.empty()) {
+    mem_segments_[s].checksum = common::HashBytes(payload, kSegmentVersion);
+  } else {
+    StorePayload(s, std::move(file_buf));
+  }
 }
 
 void ColdStore::Load(const nn::DenseMatrix& w) {
@@ -172,7 +190,7 @@ void ColdStore::Load(const nn::DenseMatrix& w) {
     throw std::invalid_argument("ColdStore::Load: shape mismatch");
   }
   for (std::size_t s = 0; s < num_segments(); ++s) {
-    StoreSegment(s, w.data().subspan(SegmentFirstRow(s) * dim_,
+    WriteSegment(s, w.data().subspan(SegmentFirstRow(s) * dim_,
                                      SegmentRows(s) * dim_));
   }
 }
@@ -188,10 +206,8 @@ nn::DenseMatrix ColdStore::Materialize() const {
   return out;
 }
 
-std::size_t ColdStore::compressed_bytes() const {
-  std::size_t total = 0;
-  for (const auto s : segment_sizes_) total += s;
-  return total;
+std::size_t ColdStore::stored_bytes() const {
+  return num_segments_ * kFrameBytes + rows_ * dim_ * sizeof(float);
 }
 
 std::string ColdStore::SegmentPath(std::size_t s) const {

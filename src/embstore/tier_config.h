@@ -3,17 +3,16 @@
 //
 // RecD's premise — ids repeat heavily within and across sessions — means
 // a small in-memory hot tier absorbs the vast majority of embedding
-// lookups while the bulk of every table lives compressed in cold
-// segments. TierConfig is the knob block callers thread through
-// train::ModelConfig; TierStats is the counter block every tier-aware
-// surface (trainer, serve, benches) reports.
+// lookups while the bulk of every table lives in raw, checksummed cold
+// segments (in memory, or on disk under cold_dir). TierConfig is the knob
+// block callers thread through train::ModelConfig; TierStats is the
+// counter block every tier-aware surface (trainer, serve, benches)
+// reports.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
 #include <string>
-
-#include "compress/codec.h"
 
 namespace recd::embstore {
 
@@ -26,19 +25,17 @@ struct TierConfig {
   /// tiered machinery is built.
   bool enabled = false;
 
-  /// Hot-tier bound, in rows. 0 = no hot tier (every lookup decompresses
-  /// from cold); >= table rows = effectively unbounded.
+  /// Hot-tier bound, in rows. 0 = no hot tier (every lookup reads from
+  /// cold); >= table rows = effectively unbounded.
   std::size_t hot_capacity_rows = 4096;
 
-  /// Rows per compressed cold segment (the decompress granularity).
+  /// Rows per cold segment (the checksum granularity: a cold read
+  /// verifies one whole segment, a cold write re-checksums it).
   std::size_t rows_per_segment = 256;
 
-  /// Codec for cold segments (compress::GetCodec).
-  compress::CodecKind codec = compress::CodecKind::kLz77;
-
   /// Directory for file-backed cold segments. Empty = in-memory
-  /// segments (still compressed and checksummed). Each store creates a
-  /// unique subdirectory, so many tables may share one base dir.
+  /// segments (still checksummed). Each store creates a unique
+  /// subdirectory, so many tables may share one base dir.
   std::string cold_dir;
 };
 
@@ -47,13 +44,12 @@ struct TierConfig {
 struct TierStats {
   std::uint64_t row_fetches = 0;   // rows requested from the store
   std::uint64_t hot_hits = 0;      // served from the hot tier
-  std::uint64_t cold_fetches = 0;  // rows decompressed from cold
+  std::uint64_t cold_fetches = 0;  // rows read from cold
   std::uint64_t admissions = 0;    // rows promoted into the hot tier
   std::uint64_t evictions = 0;     // rows displaced from the hot tier
-  std::uint64_t writebacks = 0;    // dirty rows recompressed into cold
-  std::uint64_t segments_read = 0; // cold segments decompressed
-  std::uint64_t bytes_from_cold = 0;    // compressed bytes read
-  std::uint64_t bytes_decompressed = 0; // raw bytes produced from cold
+  std::uint64_t writebacks = 0;    // rows written into cold
+  std::uint64_t segments_read = 0; // cold segments verified by reads
+  std::uint64_t bytes_from_cold = 0; // segment bytes those reads verified
   /// Snapshot fields (summed across tables when aggregated).
   std::uint64_t resident_rows = 0; // rows currently hot
   std::uint64_t capacity_rows = 0; // configured hot capacity
@@ -75,7 +71,6 @@ struct TierStats {
     writebacks += o.writebacks;
     segments_read += o.segments_read;
     bytes_from_cold += o.bytes_from_cold;
-    bytes_decompressed += o.bytes_decompressed;
     resident_rows += o.resident_rows;
     capacity_rows += o.capacity_rows;
     return *this;

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstring>
-#include <map>
 #include <stdexcept>
 
 namespace recd::embstore {
@@ -10,8 +9,7 @@ namespace recd::embstore {
 TieredRowStore::TieredRowStore(const nn::DenseMatrix& initial,
                                TierConfig config)
     : config_(std::move(config)),
-      cold_(initial, config_.rows_per_segment, config_.codec,
-            config_.cold_dir),
+      cold_(initial, config_.rows_per_segment, config_.cold_dir),
       row_fetches_(metrics_.GetCounter("embstore.row_fetches")),
       hot_hits_(metrics_.GetCounter("embstore.hot_hits")),
       cold_fetches_(metrics_.GetCounter("embstore.cold_fetches")),
@@ -20,8 +18,6 @@ TieredRowStore::TieredRowStore(const nn::DenseMatrix& initial,
       writebacks_(metrics_.GetCounter("embstore.writebacks")),
       segments_read_(metrics_.GetCounter("embstore.segments_read")),
       bytes_from_cold_(metrics_.GetCounter("embstore.bytes_from_cold")),
-      bytes_decompressed_(
-          metrics_.GetCounter("embstore.bytes_decompressed")),
       resident_rows_gauge_(metrics_.GetGauge("embstore.resident_rows")),
       capacity_rows_gauge_(metrics_.GetGauge("embstore.capacity_rows")) {
   const std::size_t capacity =
@@ -35,27 +31,28 @@ TieredRowStore::TieredRowStore(const nn::DenseMatrix& initial,
   capacity_rows_gauge_.Set(static_cast<std::int64_t>(capacity));
 }
 
-void TieredRowStore::BumpFrequency(std::size_t row, std::uint64_t weight) {
-  const auto it = row_slot_.find(row);
-  if (it != row_slot_.end()) {
-    hot_by_freq_.erase({freq_[row], row});
-    freq_[row] += weight;
-    hot_by_freq_.insert({freq_[row], row});
-  } else {
-    freq_[row] += weight;
+void TieredRowStore::SettleLfu() {
+  while (!hot_by_freq_.empty()) {
+    const auto [freq, row] = *hot_by_freq_.begin();
+    if (freq == freq_[row]) return;
+    auto node = hot_by_freq_.extract(hot_by_freq_.begin());
+    node.value().first = freq_[row];
+    hot_by_freq_.insert(std::move(node));
   }
 }
 
 void TieredRowStore::EvictLeastFrequent() {
+  SettleLfu();
   const auto victim = *hot_by_freq_.begin();
   hot_by_freq_.erase(hot_by_freq_.begin());
   const std::size_t row = victim.second;
-  const std::size_t slot = row_slot_.at(row);
+  const auto it = row_slot_.find(row);
+  const std::size_t slot = it->second;
   if (slot_dirty_[slot]) {
     WriteRowToCold(row, hot_data_.data() + slot * cold_.dim());
     writebacks_.Increment();
   }
-  row_slot_.erase(row);
+  row_slot_.erase(it);
   slot_dirty_[slot] = false;
   free_slots_.push_back(slot);
   evictions_.Increment();
@@ -75,11 +72,8 @@ void TieredRowStore::Admit(std::size_t row, const float* data) {
 }
 
 void TieredRowStore::WriteRowToCold(std::size_t row, const float* data) {
-  const std::size_t s = cold_.SegmentOf(row);
-  auto seg = cold_.ReadSegment(s, nullptr);
-  const std::size_t offset = (row - cold_.SegmentFirstRow(s)) * cold_.dim();
-  std::memcpy(seg.data() + offset, data, cold_.dim() * sizeof(float));
-  cold_.WriteSegment(s, seg);
+  cold_.WriteRows(cold_.SegmentOf(row), std::span<const std::size_t>(&row, 1),
+                  std::span<const float* const>(&data, 1));
 }
 
 void TieredRowStore::Gather(std::span<const std::size_t> row_ids,
@@ -91,19 +85,20 @@ void TieredRowStore::Gather(std::span<const std::size_t> row_ids,
   }
   const std::size_t d = cold_.dim();
   std::lock_guard<std::mutex> lock(mutex_);
-  // Pass 1: serve hot hits, bump frequencies, collect misses by segment.
-  // A row can appear several times in one call (each occurrence counts);
-  // later duplicates of a miss resolve from the same decompressed
-  // segment.
-  std::map<std::size_t, std::vector<std::size_t>> misses;  // seg -> out idx
+  // Pass 1: serve hot hits, bump frequencies, collect misses as
+  // (segment, out index). A row can appear several times in one call
+  // (each occurrence counts); every occurrence of a miss copies the same
+  // cold bits.
+  std::vector<std::pair<std::size_t, std::size_t>> misses;
   for (std::size_t i = 0; i < row_ids.size(); ++i) {
     const std::size_t row = row_ids[i];
     if (row >= cold_.rows()) {
       throw std::out_of_range("TieredRowStore::Gather: row out of range");
     }
     row_fetches_.Increment();
-    BumpFrequency(row, weights.empty() ? 1 : std::max<std::uint64_t>(
-                                                 1, weights[i]));
+    const std::uint64_t weight =
+        weights.empty() ? 1 : std::max<std::uint64_t>(1, weights[i]);
+    freq_[row] += weight;  // a resident's LFU entry goes stale (SettleLfu)
     const auto it = row_slot_.find(row);
     if (it != row_slot_.end()) {
       hot_hits_.Increment();
@@ -111,39 +106,45 @@ void TieredRowStore::Gather(std::span<const std::size_t> row_ids,
                   d * sizeof(float));
     } else {
       cold_fetches_.Increment();
-      misses[cold_.SegmentOf(row)].push_back(i);
+      misses.emplace_back(cold_.SegmentOf(row), i);
     }
   }
-  // Pass 2: decompress each missed segment once; copy rows out and run
-  // frequency-based admission per distinct row.
+  // Pass 2, per missed segment in ascending order: verify it once and
+  // copy out only the missed rows, then run frequency-based admission
+  // per distinct row. Admission can evict and write back a dirty row,
+  // but never one of this call's misses (those were not hot), so the
+  // copied bits stay current.
+  std::sort(misses.begin(), misses.end());
   ColdStore::ReadCounters rc;
-  for (const auto& [seg, indices] : misses) {
-    const auto data = cold_.ReadSegment(seg, &rc);
-    const std::size_t first = cold_.SegmentFirstRow(seg);
-    for (const std::size_t i : indices) {
-      const std::size_t row = row_ids[i];
-      const float* src = row_slot_.count(row) != 0
-                             ? hot_data_.data() + row_slot_.at(row) * d
-                             : data.data() + (row - first) * d;
-      std::memcpy(out + i * d, src, d * sizeof(float));
-      if (row_slot_.count(row) != 0) continue;  // admitted earlier in call
-      if (slot_row_.empty()) continue;  // no hot tier configured
-      if (!free_slots_.empty()) {
-        Admit(row, data.data() + (row - first) * d);
-      } else {
+  std::vector<std::size_t> seg_rows;
+  std::vector<float*> seg_dst;
+  for (std::size_t begin = 0; begin < misses.size();) {
+    const std::size_t seg = misses[begin].first;
+    std::size_t end = begin;
+    seg_rows.clear();
+    seg_dst.clear();
+    for (; end < misses.size() && misses[end].first == seg; ++end) {
+      seg_rows.push_back(row_ids[misses[end].second]);
+      seg_dst.push_back(out + misses[end].second * d);
+    }
+    cold_.ReadRows(seg, seg_rows, seg_dst, &rc);
+    for (std::size_t k = 0; k < seg_rows.size(); ++k) {
+      if (slot_row_.empty()) break;  // no hot tier configured
+      const std::size_t row = seg_rows[k];
+      if (row_slot_.contains(row)) continue;  // admitted earlier in call
+      if (free_slots_.empty()) {
         // Frequency admission: only displace the LFU resident if this
         // row is now strictly hotter (ties keep the resident — scan
         // resistance).
-        const auto& lfu = *hot_by_freq_.begin();
-        if (freq_[row] > lfu.first) {
-          Admit(row, data.data() + (row - first) * d);
-        }
+        SettleLfu();
+        if (freq_[row] <= hot_by_freq_.begin()->first) continue;
       }
+      Admit(row, seg_dst[k]);
     }
+    begin = end;
   }
   segments_read_.Add(static_cast<std::int64_t>(rc.segments));
-  bytes_from_cold_.Add(static_cast<std::int64_t>(rc.compressed_bytes));
-  bytes_decompressed_.Add(static_cast<std::int64_t>(rc.raw_bytes));
+  bytes_from_cold_.Add(static_cast<std::int64_t>(rc.bytes));
   resident_rows_gauge_.Set(static_cast<std::int64_t>(row_slot_.size()));
 }
 
@@ -151,7 +152,7 @@ void TieredRowStore::Update(std::span<const std::size_t> row_ids,
                             const float* src) {
   const std::size_t d = cold_.dim();
   std::lock_guard<std::mutex> lock(mutex_);
-  std::map<std::size_t, std::vector<std::size_t>> cold_rows;  // seg -> idx
+  std::vector<std::pair<std::size_t, std::size_t>> cold_rows;  // (seg, i)
   for (std::size_t i = 0; i < row_ids.size(); ++i) {
     const std::size_t row = row_ids[i];
     if (row >= cold_.rows()) {
@@ -163,18 +164,27 @@ void TieredRowStore::Update(std::span<const std::size_t> row_ids,
                   d * sizeof(float));
       slot_dirty_[it->second] = true;
     } else {
-      cold_rows[cold_.SegmentOf(row)].push_back(i);
+      cold_rows.emplace_back(cold_.SegmentOf(row), i);
     }
   }
-  for (const auto& [seg, indices] : cold_rows) {
-    auto data = cold_.ReadSegment(seg, nullptr);
-    const std::size_t first = cold_.SegmentFirstRow(seg);
-    for (const std::size_t i : indices) {
-      std::memcpy(data.data() + (row_ids[i] - first) * d, src + i * d,
-                  d * sizeof(float));
+  // Patch cold rows in place, one re-checksum per segment; within a
+  // segment, rows are written in call order (a repeated row's last
+  // write wins).
+  std::sort(cold_rows.begin(), cold_rows.end());
+  std::vector<std::size_t> seg_rows;
+  std::vector<const float*> seg_src;
+  for (std::size_t begin = 0; begin < cold_rows.size();) {
+    const std::size_t seg = cold_rows[begin].first;
+    std::size_t end = begin;
+    seg_rows.clear();
+    seg_src.clear();
+    for (; end < cold_rows.size() && cold_rows[end].first == seg; ++end) {
+      seg_rows.push_back(row_ids[cold_rows[end].second]);
+      seg_src.push_back(src + cold_rows[end].second * d);
     }
-    cold_.WriteSegment(seg, data);
-    writebacks_.Add(static_cast<std::int64_t>(indices.size()));
+    cold_.WriteRows(seg, seg_rows, seg_src);
+    writebacks_.Add(static_cast<std::int64_t>(seg_rows.size()));
+    begin = end;
   }
 }
 
@@ -217,7 +227,6 @@ TierStats TieredRowStore::stats() const {
   s.writebacks = u64(writebacks_);
   s.segments_read = u64(segments_read_);
   s.bytes_from_cold = u64(bytes_from_cold_);
-  s.bytes_decompressed = u64(bytes_decompressed_);
   s.resident_rows = row_slot_.size();
   s.capacity_rows = slot_row_.size();
   return s;
@@ -233,11 +242,6 @@ void TieredRowStore::ResetStats() {
 std::size_t TieredRowStore::resident_rows() const {
   std::lock_guard<std::mutex> lock(mutex_);
   return row_slot_.size();
-}
-
-std::size_t TieredRowStore::cold_compressed_bytes() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return cold_.compressed_bytes();
 }
 
 }  // namespace recd::embstore

@@ -1,21 +1,23 @@
-// TieredRowStore: a bounded in-memory hot tier over a compressed cold
-// store — the pluggable row backend of nn::EmbeddingTable
+// TieredRowStore: a bounded in-memory hot tier over a raw, checksummed
+// cold store — the pluggable row backend of nn::EmbeddingTable
 // (docs/ARCHITECTURE.md §13).
 //
 // The hot tier is row-granular, 64-byte-aligned (kernel-compatible)
 // storage holding at most `hot_capacity_rows` rows; every other row
-// lives compressed in the ColdStore. Admission and eviction are
+// lives in a ColdStore segment. Admission and eviction are
 // frequency-driven: each fetch carries an access *weight* — the
 // IKJT inverse-index multiplicity that the reader and serve paths
 // already compute — so RecD's dedup skew directly shapes the hot set.
 // A cold-fetched row is admitted when the tier has a free slot or when
 // its accumulated frequency beats the least-frequent resident row
 // (LFU with frequency-based admission: one-hit rows cannot flush a
-// skew-heavy working set). Dirty rows (SGD write-backs) are
-// recompressed into their cold segment on eviction.
+// skew-heavy working set). Dirty rows (SGD write-backs) are patched
+// into their cold segment on eviction. Cold access is row-granular: a
+// miss verifies its segment's checksum and copies out only the missed
+// rows; a cold write patches only the written rows.
 //
-// Determinism: rows are bit-exact in both tiers (fp32, lossless
-// codecs), every fetch copies the row bitwise, and updates apply to
+// Determinism: rows are bit-exact in both tiers (raw fp32), every
+// fetch copies the row bitwise, and updates apply to
 // whichever copy is current — so forward/backward/SGD results are
 // bitwise identical for every hot capacity and eviction schedule. The
 // cache changes *where bytes live and what they cost*, never their
@@ -58,13 +60,15 @@ class TieredRowStore {
   /// whatever tier it lives in. `weights[i]` (empty = all 1) is added
   /// to the row's frequency counter — callers pass dedup
   /// multiplicities so repeated rows gain admission priority. Cold
-  /// misses sharing a segment decompress it once per call.
+  /// misses sharing a segment verify it once per call and copy out only
+  /// the missed rows.
   void Gather(std::span<const std::size_t> row_ids,
               std::span<const std::uint64_t> weights, float* out);
 
   /// Writes row `row_ids[i]` from src[i*dim ...) back into the store:
   /// hot rows update in place (dirty, written back on eviction), cold
-  /// rows rewrite their segment — grouped by segment per call.
+  /// rows are patched in their segment, re-checksummed once per segment
+  /// per call.
   void Update(std::span<const std::size_t> row_ids, const float* src);
 
   /// Full table, hot rows overlaid on cold — the checkpoint surface.
@@ -86,15 +90,13 @@ class TieredRowStore {
   [[nodiscard]] const obs::Registry& metrics() const { return metrics_; }
 
   [[nodiscard]] std::size_t resident_rows() const;
-  /// Compressed cold footprint plus hot-tier bytes (capacity model).
-  [[nodiscard]] std::size_t cold_compressed_bytes() const;
 
  private:
   // All private helpers assume mutex_ is held.
   void Admit(std::size_t row, const float* data);
+  void SettleLfu();
   void EvictLeastFrequent();
   void WriteRowToCold(std::size_t row, const float* data);
-  void BumpFrequency(std::size_t row, std::uint64_t weight);
 
   mutable std::mutex mutex_;
   TierConfig config_;
@@ -107,7 +109,13 @@ class TieredRowStore {
   std::vector<std::size_t> free_slots_;
   std::unordered_map<std::size_t, std::size_t> row_slot_;  // row -> slot
 
-  // Frequency counters (all rows) and the LFU order of resident rows.
+  // Frequency counters (all rows) and the LFU order of resident rows:
+  // one (frequency, row) entry per resident. A hot hit bumps only freq_,
+  // so an entry may hold a stale, lower frequency; SettleLfu() refreshes
+  // stale entries as they reach the front, which leaves the front equal
+  // to the resident with the least (current frequency, row) — the same
+  // victim an entry updated on every hit would give, without a tree
+  // erase and insert per hit.
   std::vector<std::uint64_t> freq_;
   std::set<std::pair<std::uint64_t, std::size_t>> hot_by_freq_;
 
@@ -123,7 +131,6 @@ class TieredRowStore {
   obs::Counter& writebacks_;
   obs::Counter& segments_read_;
   obs::Counter& bytes_from_cold_;
-  obs::Counter& bytes_decompressed_;
   obs::Gauge& resident_rows_gauge_;
   obs::Gauge& capacity_rows_gauge_;
 };

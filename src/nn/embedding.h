@@ -8,8 +8,8 @@
 //
 // Storage backends (docs/ARCHITECTURE.md §13): by default a table owns
 // its weights as one dense in-memory matrix. UseTieredStore swaps that
-// for an embstore::TieredRowStore — a bounded hot-row cache over
-// compressed cold segments — after which every lookup/update path
+// for an embstore::TieredRowStore — a bounded hot-row cache over raw,
+// checksummed cold segments — after which every lookup/update path
 // gathers the referenced rows, runs the identical kernel float-op
 // sequence on the gathered scratch, and writes updates back through
 // the store. Because rows are bit-exact in both tiers and the gather
@@ -113,7 +113,7 @@ class EmbeddingTable {
   // --- Tiered row store (docs/ARCHITECTURE.md §13) --------------------
 
   /// Converts this table's storage to a two-tier row store: weights
-  /// move into compressed cold segments under a bounded hot cache,
+  /// move into raw, checksummed cold segments under a bounded hot cache,
   /// preserved bitwise. Throws std::logic_error if already tiered.
   void UseTieredStore(const embstore::TierConfig& config);
 

@@ -1,7 +1,8 @@
 // Tiered embedding store tests (src/embstore/ + its integrations):
-// the compressed/checksummed cold tier (round trips, typed rejection of
-// corrupt or truncated segments), the LFU hot tier (admission,
-// eviction with dirty write-back, stats), and the headline
+// the raw, checksummed cold tier (round trips, the segment layout,
+// row-granular writes, typed rejection of corrupt, truncated or
+// old-format segments), the LFU hot tier (admission, eviction with
+// dirty write-back, stats), and the headline
 // tier-placement determinism rule — forward/backward/SGD bitwise
 // identical to the dense backend for hot capacities {0, tiny,
 // unbounded} x rank counts {1, 2, 4} x baseline/RecD, through
@@ -11,9 +12,11 @@
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstring>
 #include <filesystem>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
@@ -70,33 +73,88 @@ DenseMatrix RandomMatrix(std::size_t rows, std::size_t cols,
 TEST(EmbstoreColdStoreTest, RoundTripsBitwiseInMemoryAndFileBacked) {
   const auto w = RandomMatrix(37, 5, 1);  // short tail segment
   for (const auto& dir : {std::string(), TempDir("roundtrip")}) {
-    ColdStore cold(w, /*rows_per_segment=*/8, compress::CodecKind::kLz77,
-                   dir);
+    ColdStore cold(w, /*rows_per_segment=*/8, dir);
     EXPECT_EQ(cold.rows(), 37u);
     EXPECT_EQ(cold.num_segments(), 5u);
     EXPECT_EQ(cold.SegmentRows(4), 5u);  // 37 = 4*8 + 5
     EXPECT_EQ(cold.file_backed(), !dir.empty());
     EXPECT_TRUE(BitwiseEq(cold.Materialize(), w));
-    EXPECT_GT(cold.compressed_bytes(), 0u);
+    EXPECT_GT(cold.stored_bytes(), 0u);
   }
 }
 
-TEST(EmbstoreColdStoreTest, ReadCountersAccumulateCompressedAndRawBytes) {
+TEST(EmbstoreColdStoreTest, ReadCountersAccumulateVerifiedBytes) {
   const auto w = RandomMatrix(16, 4, 2);
-  ColdStore cold(w, 4, compress::CodecKind::kLz77, "");
+  ColdStore cold(w, 4, "");
   ColdStore::ReadCounters rc;
   for (std::size_t s = 0; s < cold.num_segments(); ++s) {
     (void)cold.ReadSegment(s, &rc);
   }
   EXPECT_EQ(rc.segments, 4u);
-  EXPECT_GT(rc.compressed_bytes, 0u);
-  EXPECT_EQ(rc.raw_bytes, 16u * 4u * sizeof(float));
+  EXPECT_EQ(rc.bytes, 4u * ColdStore::kFrameBytes + 16u * 4u * sizeof(float));
+  // A row-granular read still verifies (and counts) the whole segment.
+  std::vector<float> row(4);
+  const std::size_t r = 6;
+  float* const dst = row.data();
+  cold.ReadRows(1, std::span<const std::size_t>(&r, 1),
+                std::span<float* const>(&dst, 1), &rc);
+  EXPECT_EQ(rc.segments, 5u);
+  EXPECT_EQ(rc.bytes, 5u * ColdStore::kFrameBytes + 20u * 4u * sizeof(float));
+  EXPECT_EQ(0, std::memcmp(row.data(), w.row(6).data(), 4 * sizeof(float)));
+}
+
+TEST(EmbstoreColdStoreTest, StoredSegmentIsFramePlusRawRows) {
+  // No codec: a segment is exactly the fixed frame plus its fp32 rows;
+  // a file adds only the checksummed envelope (20-byte header, 8-byte
+  // checksum).
+  const auto w = RandomMatrix(37, 5, 40);
+  for (const auto& dir : {std::string(), TempDir("layout")}) {
+    ColdStore cold(w, 8, dir);
+    EXPECT_EQ(cold.stored_bytes(),
+              cold.num_segments() * ColdStore::kFrameBytes +
+                  37u * 5u * sizeof(float));
+    for (std::size_t s = 0; s < cold.num_segments(); ++s) {
+      const std::size_t seg_bytes =
+          ColdStore::kFrameBytes + cold.SegmentRows(s) * 5u * sizeof(float);
+      ColdStore::ReadCounters rc;
+      (void)cold.ReadSegment(s, &rc);
+      EXPECT_EQ(rc.bytes, seg_bytes) << "segment " << s;
+      if (cold.file_backed()) {
+        EXPECT_EQ(std::filesystem::file_size(cold.SegmentPath(s)),
+                  20u + seg_bytes + 8u)
+            << "segment " << s;
+      }
+    }
+  }
+}
+
+TEST(EmbstoreColdStoreTest, WriteRowsLeavesOtherRowsBitwiseUnchanged) {
+  const auto w = RandomMatrix(12, 3, 41);
+  for (const auto& dir : {std::string(), TempDir("write_rows")}) {
+    ColdStore cold(w, 4, dir);
+    const std::vector<std::size_t> rows = {6, 4};
+    const std::vector<float> a = {1.f, 2.f, 3.f};
+    const std::vector<float> b = {-4.f, -5.f, -6.f};
+    const std::vector<const float*> src = {a.data(), b.data()};
+    cold.WriteRows(1, rows, src);
+    auto expected = w;
+    for (std::size_t c = 0; c < 3; ++c) {
+      expected.at(6, c) = a[c];
+      expected.at(4, c) = b[c];
+    }
+    EXPECT_TRUE(BitwiseEq(cold.Materialize(), expected)) << "dir=" << dir;
+    // A row outside the named segment is rejected, not written.
+    const std::size_t outside = 8;
+    EXPECT_THROW(cold.WriteRows(1, std::span<const std::size_t>(&outside, 1),
+                                std::span<const float* const>(src.data(), 1)),
+                 std::out_of_range);
+    EXPECT_TRUE(BitwiseEq(cold.Materialize(), expected)) << "dir=" << dir;
+  }
 }
 
 TEST(EmbstoreColdStoreTest, SingleRowSegmentsRoundTrip) {
   const auto w = RandomMatrix(6, 3, 3);
-  ColdStore cold(w, /*rows_per_segment=*/1, compress::CodecKind::kIdentity,
-                 "");
+  ColdStore cold(w, /*rows_per_segment=*/1, "");
   EXPECT_EQ(cold.num_segments(), 6u);
   for (std::size_t s = 0; s < 6; ++s) {
     const auto seg = cold.ReadSegment(s, nullptr);
@@ -107,16 +165,16 @@ TEST(EmbstoreColdStoreTest, SingleRowSegmentsRoundTrip) {
 }
 
 TEST(EmbstoreColdStoreTest, EmptyTableHasNoSegments) {
-  ColdStore cold(DenseMatrix(), 8, compress::CodecKind::kLz77, "");
+  ColdStore cold(DenseMatrix(), 8, "");
   EXPECT_EQ(cold.rows(), 0u);
   EXPECT_EQ(cold.num_segments(), 0u);
-  EXPECT_EQ(cold.compressed_bytes(), 0u);
+  EXPECT_EQ(cold.stored_bytes(), 0u);
   EXPECT_TRUE(BitwiseEq(cold.Materialize(), DenseMatrix()));
 }
 
 TEST(EmbstoreColdStoreTest, WriteSegmentReplacesRowsExactly) {
   auto w = RandomMatrix(10, 4, 4);
-  ColdStore cold(w, 4, compress::CodecKind::kLz77, "");
+  ColdStore cold(w, 4, "");
   std::vector<float> fresh(4 * 4, 2.5f);
   cold.WriteSegment(1, fresh);
   for (std::size_t r = 4; r < 8; ++r) {
@@ -128,14 +186,13 @@ TEST(EmbstoreColdStoreTest, WriteSegmentReplacesRowsExactly) {
 }
 
 TEST(EmbstoreColdStoreTest, ZeroRowsPerSegmentThrows) {
-  EXPECT_THROW(ColdStore(RandomMatrix(4, 2, 5), 0,
-                         compress::CodecKind::kLz77, ""),
+  EXPECT_THROW(ColdStore(RandomMatrix(4, 2, 5), 0, ""),
                std::invalid_argument);
 }
 
 TEST(EmbstoreColdStoreTest, CorruptFileSegmentThrowsColdStoreError) {
   const auto w = RandomMatrix(12, 4, 6);
-  ColdStore cold(w, 4, compress::CodecKind::kLz77, TempDir("corrupt"));
+  ColdStore cold(w, 4, TempDir("corrupt"));
   common::CorruptChecksummedFile(cold.SegmentPath(1), /*payload_offset=*/3);
   EXPECT_NO_THROW((void)cold.ReadSegment(0, nullptr));
   EXPECT_THROW((void)cold.ReadSegment(1, nullptr), ColdStoreError);
@@ -143,7 +200,7 @@ TEST(EmbstoreColdStoreTest, CorruptFileSegmentThrowsColdStoreError) {
 
 TEST(EmbstoreColdStoreTest, TruncatedFileSegmentThrowsColdStoreError) {
   const auto w = RandomMatrix(12, 4, 7);
-  ColdStore cold(w, 4, compress::CodecKind::kLz77, TempDir("truncate"));
+  ColdStore cold(w, 4, TempDir("truncate"));
   const auto path = cold.SegmentPath(2);
   const auto size = std::filesystem::file_size(path);
   std::filesystem::resize_file(path, size / 2);
@@ -154,9 +211,29 @@ TEST(EmbstoreColdStoreTest, TruncatedFileSegmentThrowsColdStoreError) {
 
 TEST(EmbstoreColdStoreTest, MissingFileSegmentThrowsColdStoreError) {
   const auto w = RandomMatrix(8, 2, 8);
-  ColdStore cold(w, 4, compress::CodecKind::kLz77, TempDir("missing"));
+  ColdStore cold(w, 4, TempDir("missing"));
   std::filesystem::remove(cold.SegmentPath(0));
   EXPECT_THROW((void)cold.ReadSegment(0, nullptr), ColdStoreError);
+}
+
+TEST(EmbstoreColdStoreTest, OldFormatVersionThrowsColdStoreError) {
+  // Version 1 segments held LZ77-compressed rows. Re-stamp a valid
+  // segment's payload as version 1 (same magic, valid envelope
+  // checksum): only the version differs, and it alone must reject it.
+  constexpr std::uint32_t kMagic = 0x52434c44u;  // "RCLD"
+  const auto w = RandomMatrix(8, 2, 9);
+  ColdStore cold(w, 4, TempDir("old_version"));
+  const auto path = cold.SegmentPath(1);
+  const auto payload = common::ReadChecksummedFile(path, kMagic, 2);
+  common::WriteChecksummedFile(path, kMagic, 1, payload);
+  EXPECT_NO_THROW((void)cold.ReadSegment(0, nullptr));
+  EXPECT_THROW((void)cold.ReadSegment(1, nullptr), ColdStoreError);
+  const std::size_t r = 5;
+  const std::vector<float> row = {1.f, 2.f};
+  const float* const src = row.data();
+  EXPECT_THROW(cold.WriteRows(1, std::span<const std::size_t>(&r, 1),
+                              std::span<const float* const>(&src, 1)),
+               ColdStoreError);
 }
 
 // ---------------------------------------------------------- tiered store --
@@ -235,7 +312,7 @@ TEST(EmbstoreTieredStoreTest, FrequencyAdmissionEvictsColdestAndWritesBack) {
   const std::vector<float> updated = {9.f, 8.f, 7.f, 6.f};
   store.Update(std::span<const std::size_t>(&r2, 1), updated.data());
   // Row 11 out-accumulates row 2's frequency -> displaces it; the dirty
-  // row 2 must be recompressed into its cold segment first.
+  // row 2 must be patched into its cold segment first.
   const std::size_t r11 = 11;
   const std::vector<std::uint64_t> heavy = {100};
   store.Gather(std::span<const std::size_t>(&r11, 1), heavy, out.data());
@@ -273,6 +350,154 @@ TEST(EmbstoreTieredStoreTest, UpdatesLandInBothTiers) {
   store.Gather(rows, {}, out.data());
   EXPECT_EQ(0, std::memcmp(out.data(), src.data(), src.size() *
                                                        sizeof(float)));
+}
+
+TEST(EmbstoreTieredStoreTest, ColdWritesLeaveOtherSegmentRowsBitwise) {
+  // One cold-row Update and one dirty eviction, each into segment 0
+  // (rows 0..3): only the written row changes; every other row of the
+  // segment, read back from cold, keeps its bits. Memory and file mode.
+  const auto w = RandomMatrix(16, 4, 42);
+  for (const auto& dir : {std::string(), TempDir("cold_writes")}) {
+    TieredRowStore store(w, Tier(1, 4, dir));
+    auto expected = w;
+    // Cold-row Update: row 1 is not resident.
+    const std::size_t r1 = 1;
+    const std::vector<float> a = {1.f, 2.f, 3.f, 4.f};
+    store.Update(std::span<const std::size_t>(&r1, 1), a.data());
+    for (std::size_t c = 0; c < 4; ++c) expected.at(1, c) = a[c];
+    EXPECT_EQ(store.stats().writebacks, 1u);
+    EXPECT_EQ(store.resident_rows(), 0u);
+    EXPECT_TRUE(BitwiseEq(store.Materialize(), expected)) << "dir=" << dir;
+    // Dirty eviction: row 2 becomes resident and dirty, then a heavier
+    // row displaces it and its bits are patched into segment 0.
+    std::vector<float> out(4);
+    const std::size_t r2 = 2;
+    store.Gather(std::span<const std::size_t>(&r2, 1), {}, out.data());
+    const std::vector<float> b = {5.f, 6.f, 7.f, 8.f};
+    store.Update(std::span<const std::size_t>(&r2, 1), b.data());
+    for (std::size_t c = 0; c < 4; ++c) expected.at(2, c) = b[c];
+    const std::size_t r9 = 9;
+    const std::vector<std::uint64_t> heavy = {100};
+    store.Gather(std::span<const std::size_t>(&r9, 1), heavy, out.data());
+    const auto s = store.stats();
+    EXPECT_EQ(s.evictions, 1u);
+    EXPECT_EQ(s.writebacks, 2u);
+    // Rows 0..3 now all come from cold (row 9 is the only resident).
+    std::vector<float> seg(4 * 4);
+    const std::vector<std::size_t> seg_rows = {0, 1, 2, 3};
+    store.Gather(seg_rows, {}, seg.data());
+    EXPECT_EQ(0, std::memcmp(seg.data(), expected.row(0).data(),
+                             seg.size() * sizeof(float)))
+        << "dir=" << dir;
+    EXPECT_TRUE(BitwiseEq(store.Materialize(), expected)) << "dir=" << dir;
+  }
+}
+
+// The admission/eviction policy, modelled eagerly: the LFU order is
+// updated on every hit. The store refreshes its order lazily; on any
+// trace both must make the same decisions, so every counter agrees.
+struct EagerLfuModel {
+  std::size_t capacity;
+  std::size_t rows_per_segment;
+  std::vector<std::uint64_t> freq;
+  std::set<std::pair<std::uint64_t, std::size_t>> order;  // residents
+  std::set<std::size_t> dirty;
+  TierStats s;
+
+  bool Resident(std::size_t row) const {
+    return order.count({freq[row], row}) != 0;
+  }
+  void Gather(const std::vector<std::size_t>& rows,
+              const std::vector<std::uint64_t>& weights) {
+    std::vector<std::pair<std::size_t, std::size_t>> misses;
+    for (std::size_t i = 0; i < rows.size(); ++i) {
+      const std::size_t row = rows[i];
+      ++s.row_fetches;
+      const bool hot = Resident(row);
+      if (hot) order.erase({freq[row], row});
+      freq[row] += std::max<std::uint64_t>(1, weights[i]);
+      if (hot) {
+        order.insert({freq[row], row});
+        ++s.hot_hits;
+      } else {
+        ++s.cold_fetches;
+        misses.emplace_back(row / rows_per_segment, i);
+      }
+    }
+    std::sort(misses.begin(), misses.end());
+    for (const auto& [seg, i] : misses) {
+      const std::size_t row = rows[i];
+      if (capacity == 0 || Resident(row)) continue;
+      if (order.size() == capacity) {
+        const auto victim = *order.begin();
+        if (freq[row] <= victim.first) continue;
+        order.erase(order.begin());
+        s.writebacks += dirty.erase(victim.second);
+        ++s.evictions;
+      }
+      order.insert({freq[row], row});
+      ++s.admissions;
+    }
+  }
+  void Update(const std::vector<std::size_t>& rows) {
+    for (const std::size_t row : rows) {
+      if (Resident(row)) {
+        dirty.insert(row);
+      } else {
+        ++s.writebacks;
+      }
+    }
+  }
+};
+
+TEST(EmbstoreTieredStoreTest, LazyLfuMatchesEagerModelOnRandomTraces) {
+  constexpr std::size_t kRows = 96;
+  constexpr std::size_t kDim = 3;
+  const auto w = RandomMatrix(kRows, kDim, 43);
+  for (const std::size_t cap : {1u, 5u, 24u}) {
+    TieredRowStore store(w, Tier(cap, 8));
+    EagerLfuModel model{cap, 8, std::vector<std::uint64_t>(kRows, 0), {},
+                        {}, {}};
+    auto expected = w;
+    common::Rng rng(100 + cap);
+    const auto uniform = [&](std::size_t n) {
+      return static_cast<std::size_t>(
+          rng.Uniform(0, static_cast<std::int64_t>(n) - 1));
+    };
+    for (int call = 0; call < 300; ++call) {
+      std::vector<std::size_t> rows(1 + uniform(12));
+      std::vector<std::uint64_t> weights(rows.size());
+      for (std::size_t i = 0; i < rows.size(); ++i) {
+        // Skewed: a product of two uniforms favours low row ids.
+        rows[i] = uniform(kRows) * uniform(kRows) / kRows;
+        weights[i] = uniform(4);  // 0 counts as 1, like the store
+      }
+      std::vector<float> out(rows.size() * kDim);
+      store.Gather(rows, weights, out.data());
+      model.Gather(rows, weights);
+      if (call % 3 == 0) {
+        std::sort(rows.begin(), rows.end());
+        rows.erase(std::unique(rows.begin(), rows.end()), rows.end());
+        std::vector<float> src(rows.size() * kDim);
+        for (std::size_t i = 0; i < rows.size(); ++i) {
+          for (std::size_t c = 0; c < kDim; ++c) {
+            src[i * kDim + c] = static_cast<float>(call) + 0.25f * c;
+            expected.at(rows[i], c) = src[i * kDim + c];
+          }
+        }
+        store.Update(rows, src.data());
+        model.Update(rows);
+      }
+      const auto s = store.stats();
+      ASSERT_EQ(s.hot_hits, model.s.hot_hits) << "cap " << cap;
+      ASSERT_EQ(s.admissions, model.s.admissions) << "cap " << cap;
+      ASSERT_EQ(s.evictions, model.s.evictions) << "cap " << cap;
+      ASSERT_EQ(s.writebacks, model.s.writebacks) << "cap " << cap;
+      ASSERT_EQ(s.resident_rows, model.order.size()) << "cap " << cap;
+    }
+    EXPECT_GT(model.s.evictions, 0u) << "cap " << cap;
+    EXPECT_TRUE(BitwiseEq(store.Materialize(), expected)) << "cap " << cap;
+  }
 }
 
 TEST(EmbstoreTieredStoreTest, LoadResetsHotTierAndFrequencies) {

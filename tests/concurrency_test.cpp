@@ -83,6 +83,11 @@ TEST(ThreadPoolTest, ParallelForRethrowsBodyException) {
                          if (i == 17) {
                            throw std::runtime_error("body failed");
                          }
+                         // Empty bodies let the other workers finish
+                         // every index before the throw lands; a short
+                         // one gives the cancellation time to show.
+                         std::this_thread::sleep_for(
+                             std::chrono::microseconds(50));
                        }),
       std::runtime_error);
   // Cancellation: the failure stops remaining indices from running

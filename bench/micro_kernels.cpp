@@ -1,7 +1,8 @@
 // Micro-benchmarks for the fused/vectorized kernel layer
 // (docs/ARCHITECTURE.md §12): scalar oracle vs AVX2 backend on the hot
-// kernels — fused dedup-aware pooled lookup, the MLP GEMMs, the sparse
-// SGD scatter, BCE, and the dense SGD row update.
+// kernels — fused dedup-aware pooled lookup, the sparse SGD scatter,
+// the MLP GEMMs (square and at the trainer's RM1 chunk shapes), and the
+// pairwise feature interaction.
 //
 // Every timed pair is also checked bitwise (the layer's contract): the
 // bench aborts nonzero if any vectorized output differs from scalar by
@@ -14,6 +15,8 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "bench_util.h"
@@ -68,7 +71,7 @@ std::vector<float> RandVec(std::size_t n, recd::common::Rng& rng) {
 }
 
 struct Row {
-  const char* name;
+  std::string name;
   double scalar_s = 0;
   double vec_s = 0;
   double work = 0;       // elements (or FLOPs) per pass
@@ -78,7 +81,7 @@ struct Row {
 
 void PrintRow(const Row& r) {
   const double speedup = r.vec_s > 0 ? r.scalar_s / r.vec_s : 1.0;
-  std::printf("%-26s %10.1f %10.1f", r.name, r.work / r.scalar_s / 1e6,
+  std::printf("%-32s %10.1f %10.1f", r.name.c_str(), r.work / r.scalar_s / 1e6,
               r.vec_s > 0 ? r.work / r.vec_s / 1e6 : 0.0);
   if (r.bytes > 0 && r.vec_s > 0) {
     std::printf(" %8.2f", r.bytes / r.vec_s / 1e9);
@@ -86,6 +89,71 @@ void PrintRow(const Row& r) {
     std::printf(" %8s", "-");
   }
   std::printf(" %9.2fx\n", speedup);
+}
+
+/// Row for fn(kS) vs fn(kV): one call of each first, asserted bitwise
+/// equal, then timed. fn(backend) runs the kernel into that backend's
+/// own output buffer and returns it.
+template <typename Fn>
+Row TimedPair(std::string name, const char* unit, double work, int trials,
+              int reps, Fn&& fn) {
+  RequireBitwise(fn(kS), fn(kV), name.c_str());
+  Row r{std::move(name)};
+  r.unit = unit;
+  r.work = work;
+  r.scalar_s = SecondsPerPass(trials, reps, [&] { (void)fn(kS); });
+  r.vec_s = SecondsPerPass(trials, reps, [&] { (void)fn(kV); });
+  return r;
+}
+
+/// The three GEMMs of one Linear layer (out x in weights) on m rows:
+/// forward MatmulABt, backward dX MatmulAB, backward dW AccumulateOuter.
+/// With `relu`, g is masked where the forward's pre-activation is <= 0,
+/// as Linear::Backward masks it: about half of g is then zero, the
+/// share measured in the trainer's ReLU layers.
+void AddLinearRows(std::vector<Row>& rows, const std::string& tag,
+                   std::size_t m, std::size_t in, std::size_t out,
+                   bool relu, int trials, int reps,
+                   recd::common::Rng& rng) {
+  namespace k = recd::kernels;
+  const auto name = [&](const char* kernel) { return kernel + tag; };
+  const double flops = 2.0 * m * in * out;
+  const auto x = RandVec(m * in, rng);
+  const auto w = RandVec(out * in, rng);
+  auto g = RandVec(m * out, rng);
+  std::vector<float> ys(m * out), yv(m * out);
+  if (relu) {
+    k::MatmulABt(kS, x.data(), m, in, w.data(), out, ys.data());
+    k::ReluMask(kS, g.data(), ys.data(), g.size());
+  }
+  rows.push_back(TimedPair(
+      name("matmul_abt_fwd"), "flop", flops, trials, reps,
+      [&](KernelBackend be) -> const std::vector<float>& {
+        auto& y = be == kS ? ys : yv;
+        k::MatmulABt(be, x.data(), m, in, w.data(), out, y.data());
+        return y;
+      }));
+  std::vector<float> dxs(m * in), dxv(m * in);
+  rows.push_back(TimedPair(
+      name("matmul_ab_bwd_dx"), "flop", flops, trials, reps,
+      [&](KernelBackend be) -> const std::vector<float>& {
+        auto& dx = be == kS ? dxs : dxv;
+        k::MatmulAB(be, g.data(), m, out, w.data(), in, dx.data());
+        return dx;
+      }));
+  // Backward dW: grad_w += g^T x with the g==0 skip (accumulates across
+  // timed passes; only the first call of each side is compared).
+  std::vector<float> gws(out * in), gwv(out * in), gbs(out), gbv(out);
+  rows.push_back(TimedPair(
+      name("accumulate_outer_dw"), "flop", flops, trials, reps,
+      [&](KernelBackend be) -> const std::vector<float>& {
+        auto& gw = be == kS ? gws : gwv;
+        auto& gb = be == kS ? gbs : gbv;
+        k::AccumulateOuter(be, g.data(), m, out, x.data(), in, gw.data(),
+                           gb.data());
+        return gw;
+      }));
+  RequireBitwise(gbs, gbv, "accumulate_outer grad_b");
 }
 
 }  // namespace
@@ -208,133 +276,55 @@ int main(int argc, char** argv) {
   }
 
   // ---- GEMMs (the MLP forward/backward shapes) -----------------------
+  // A square shape, then one canonical gradient chunk of the executed
+  // trainer (64 rows) through the RM1 top MLP, 359 -> 512 -> 256.
+  // Both RM1 layers are ReLU layers, so their g is ReLU-masked.
+  AddLinearRows(rows, "", bench::SmokeOr<std::size_t>(256, 16), 256, 256,
+                false, trials, reps, rng);
+  AddLinearRows(rows, "_rm1_359x512", 64, 359, 512, true, trials, reps,
+                rng);
+  AddLinearRows(rows, "_rm1_512x256", 64, 512, 256, true, trials, reps,
+                rng);
+
+  // ---- Pairwise interaction (RM1: 22 inputs of dim 128, 64 rows) -----
   {
-    const std::size_t m = bench::SmokeOr<std::size_t>(256, 16);
-    const std::size_t k = 256;
-    const std::size_t n = 256;
-    const auto a = RandVec(m * k, rng);
-    const auto b = RandVec(n * k, rng);
-    std::vector<float> c_scalar(m * n), c_vec(m * n);
-
-    kernels::MatmulABt(kS, a.data(), m, k, b.data(), n, c_scalar.data());
-    kernels::MatmulABt(kV, a.data(), m, k, b.data(), n, c_vec.data());
-    RequireBitwise(c_scalar, c_vec, "matmul_abt");
-    Row r{"matmul_abt_fwd"};
-    r.unit = "flop";
-    r.work = 2.0 * m * k * n;
-    r.scalar_s = SecondsPerPass(trials, reps, [&] {
-      kernels::MatmulABt(kS, a.data(), m, k, b.data(), n,
-                         c_scalar.data());
-    });
-    r.vec_s = SecondsPerPass(trials, reps, [&] {
-      kernels::MatmulABt(kV, a.data(), m, k, b.data(), n, c_vec.data());
-    });
-    rows.push_back(r);
-
-    const auto b2 = RandVec(k * n, rng);
-    kernels::MatmulAB(kS, a.data(), m, k, b2.data(), n, c_scalar.data());
-    kernels::MatmulAB(kV, a.data(), m, k, b2.data(), n, c_vec.data());
-    RequireBitwise(c_scalar, c_vec, "matmul_ab");
-    Row r2{"matmul_ab_bwd_dx"};
-    r2.unit = "flop";
-    r2.work = 2.0 * m * k * n;
-    r2.scalar_s = SecondsPerPass(trials, reps, [&] {
-      kernels::MatmulAB(kS, a.data(), m, k, b2.data(), n,
-                        c_scalar.data());
-    });
-    r2.vec_s = SecondsPerPass(trials, reps, [&] {
-      kernels::MatmulAB(kV, a.data(), m, k, b2.data(), n, c_vec.data());
-    });
-    rows.push_back(r2);
-
-    // Backward dW: grad_w += g^T x with the g==0 skip.
-    const auto g = RandVec(m * n, rng);
-    std::vector<float> gw_scalar(n * k), gw_vec(n * k), gb_scalar(n),
-        gb_vec(n);
-    kernels::AccumulateOuter(kS, g.data(), m, n, a.data(), k,
-                             gw_scalar.data(), gb_scalar.data());
-    kernels::AccumulateOuter(kV, g.data(), m, n, a.data(), k,
-                             gw_vec.data(), gb_vec.data());
-    RequireBitwise(gw_scalar, gw_vec, "accumulate_outer grad_w");
-    RequireBitwise(gb_scalar, gb_vec, "accumulate_outer grad_b");
-    Row r3{"accumulate_outer_dw"};
-    r3.unit = "flop";
-    r3.work = 2.0 * m * k * n;
-    r3.scalar_s = SecondsPerPass(trials, reps, [&] {
-      kernels::AccumulateOuter(kS, g.data(), m, n, a.data(), k,
-                               gw_scalar.data(), gb_scalar.data());
-    });
-    r3.vec_s = SecondsPerPass(trials, reps, [&] {
-      kernels::AccumulateOuter(kV, g.data(), m, n, a.data(), k,
-                               gw_vec.data(), gb_vec.data());
-    });
-    rows.push_back(r3);
+    const std::size_t m = 64;
+    const std::size_t f = 22;
+    const std::size_t d = 128;
+    const std::size_t width = d + f * (f - 1) / 2;
+    std::vector<std::vector<float>> x(f);
+    std::vector<const float*> xp;
+    for (auto& v : x) {
+      v = RandVec(m * d, rng);
+      xp.push_back(v.data());
+    }
+    const auto grad_out = RandVec(m * width, rng);
+    const double pairs = static_cast<double>(m) * d * (f * (f - 1) / 2);
+    std::vector<float> outs(m * width), outv(m * width);
+    rows.push_back(TimedPair(
+        "interaction_fwd", "flop", 2.0 * pairs, trials, reps,
+        [&](KernelBackend be) -> const std::vector<float>& {
+          auto& out = be == kS ? outs : outv;
+          kernels::InteractionForward(be, xp, m, d, out.data());
+          return out;
+        }));
+    // Accumulates across timed passes; the first calls are compared.
+    std::vector<float> gs(f * m * d), gv(f * m * d);
+    std::vector<float*> gsp, gvp;
+    for (std::size_t t = 0; t < f; ++t) {
+      gsp.push_back(gs.data() + t * m * d);
+      gvp.push_back(gv.data() + t * m * d);
+    }
+    rows.push_back(TimedPair(
+        "interaction_bwd", "flop", 4.0 * pairs, trials, reps,
+        [&](KernelBackend be) -> const std::vector<float>& {
+          kernels::InteractionBackward(be, grad_out.data(), xp, m, d,
+                                       be == kS ? gsp : gvp);
+          return be == kS ? gs : gv;
+        }));
   }
 
-  // ---- Loss + dense SGD ----------------------------------------------
-  {
-    const std::size_t n = bench::SmokeOr<std::size_t>(1u << 18, 1u << 10);
-    std::vector<float> logits(n), labels(n);
-    for (std::size_t i = 0; i < n; ++i) {
-      logits[i] = static_cast<float>(rng.UniformReal() * 16.0 - 8.0);
-      labels[i] = (i % 3 == 0) ? 1.0f : 0.0f;
-    }
-    const double ls = kernels::BceLossSum(kS, logits.data(),
-                                          labels.data(), n);
-    const double lv = kernels::BceLossSum(kV, logits.data(),
-                                          labels.data(), n);
-    if (std::memcmp(&ls, &lv, sizeof(double)) != 0) {
-      std::fprintf(stderr,
-                   "bench_micro_kernels: bce loss sum not bitwise\n");
-      return 1;
-    }
-    Row r{"bce_loss_sum"};
-    r.work = static_cast<double>(n);
-    r.scalar_s = SecondsPerPass(trials, reps, [&] {
-      (void)kernels::BceLossSum(kS, logits.data(), labels.data(), n);
-    });
-    r.vec_s = SecondsPerPass(trials, reps, [&] {
-      (void)kernels::BceLossSum(kV, logits.data(), labels.data(), n);
-    });
-    rows.push_back(r);
-
-    std::vector<float> grad_scalar(n), grad_vec(n);
-    kernels::BceGrad(kS, logits.data(), labels.data(), n, 1.0f / 256,
-                     grad_scalar.data());
-    kernels::BceGrad(kV, logits.data(), labels.data(), n, 1.0f / 256,
-                     grad_vec.data());
-    RequireBitwise(grad_scalar, grad_vec, "bce grad");
-    Row r2{"bce_grad"};
-    r2.work = static_cast<double>(n);
-    r2.scalar_s = SecondsPerPass(trials, reps, [&] {
-      kernels::BceGrad(kS, logits.data(), labels.data(), n, 1.0f / 256,
-                       grad_scalar.data());
-    });
-    r2.vec_s = SecondsPerPass(trials, reps, [&] {
-      kernels::BceGrad(kV, logits.data(), labels.data(), n, 1.0f / 256,
-                       grad_vec.data());
-    });
-    rows.push_back(r2);
-
-    auto w_scalar = RandVec(n, rng);
-    auto w_vec = w_scalar;
-    kernels::SgdUpdate(kS, w_scalar.data(), grad_scalar.data(), n, 0.05f);
-    kernels::SgdUpdate(kV, w_vec.data(), grad_vec.data(), n, 0.05f);
-    RequireBitwise(w_scalar, w_vec, "dense sgd update");
-    Row r3{"sgd_update_dense"};
-    r3.work = static_cast<double>(n);
-    r3.bytes = static_cast<double>(n) * 3 * sizeof(float);
-    r3.scalar_s = SecondsPerPass(trials, reps * 4, [&] {
-      kernels::SgdUpdate(kS, w_scalar.data(), grad_scalar.data(), n,
-                         0.05f);
-    });
-    r3.vec_s = SecondsPerPass(trials, reps * 4, [&] {
-      kernels::SgdUpdate(kV, w_vec.data(), grad_vec.data(), n, 0.05f);
-    });
-    rows.push_back(r3);
-  }
-
-  std::printf("%-26s %10s %10s %8s %10s\n", "kernel", "scalar M/s",
+  std::printf("%-32s %10s %10s %8s %10s\n", "kernel", "scalar M/s",
               "vec M/s", "GB/s", "speedup");
   bench::PrintRule();
   for (const auto& r : rows) PrintRow(r);
@@ -345,14 +335,14 @@ int main(int argc, char** argv) {
   report.SetHostField("avx2", have_simd ? 1 : 0);
   for (const auto& r : rows) {
     const double speedup = r.vec_s > 0 ? r.scalar_s / r.vec_s : 1.0;
-    report.Add(std::string(r.name) + "_speedup", speedup, std::nullopt,
+    report.Add(r.name + "_speedup", speedup, std::nullopt,
                "x");
-    report.Add(std::string(r.name) + "_vec_rate",
+    report.Add(r.name + "_vec_rate",
                r.work / (r.vec_s > 0 ? r.vec_s : r.scalar_s) / 1e6,
                std::nullopt,
                std::string("M") + r.unit + "/s");
     if (r.bytes > 0 && r.vec_s > 0) {
-      report.Add(std::string(r.name) + "_vec_gbps", r.bytes / r.vec_s / 1e9,
+      report.Add(r.name + "_vec_gbps", r.bytes / r.vec_s / 1e9,
                  std::nullopt, "GB/s");
     }
   }

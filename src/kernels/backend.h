@@ -1,11 +1,12 @@
 // Kernel backend selection for the vectorized kernel layer
 // (docs/ARCHITECTURE.md §12).
 //
-// Every hot-path kernel (pooled embedding lookup, the MLP GEMMs, BCE
-// loss, SGD updates, dense transforms) exists twice: a scalar reference
-// implementation — the bitwise oracle — and a SIMD implementation that
-// vectorizes only non-reduction axes, so the two produce bit-identical
-// floats. kVectorized is therefore safe to use as the process default:
+// Every hot-path kernel (pooled embedding lookup, the MLP GEMMs, the
+// pairwise interaction, dense transforms) exists twice: a scalar
+// reference implementation — the bitwise oracle — and a SIMD
+// implementation that vectorizes only non-reduction axes, so the two
+// produce bit-identical floats. BCE and the dense SGD update have only
+// the scalar loop, run under either backend. kVectorized is therefore safe to use as the process default:
 // it changes wall-clock, never results. Hosts without AVX2 silently run
 // the scalar path under either selector.
 #pragma once

@@ -32,11 +32,12 @@ void MatmulAB(const float* a, std::size_t m, std::size_t k, const float* b,
 void AccumulateOuter(const float* g, std::size_t rows, std::size_t out_dim,
                      const float* x, std::size_t in_dim, float* grad_w,
                      float* grad_b);
-[[nodiscard]] double BceLossSum(const float* logits, const float* labels,
-                                std::size_t n);
-void BceGrad(const float* logits, const float* labels, std::size_t n,
-             float inv_denom, float* grad);
-void SgdUpdate(float* w, const float* g, std::size_t n, float lr);
+void InteractionForward(std::span<const float* const> inputs,
+                        std::size_t rows, std::size_t d, float* out);
+void InteractionBackward(const float* grad_out,
+                         std::span<const float* const> inputs,
+                         std::size_t rows, std::size_t d,
+                         std::span<float* const> grads);
 void AddInPlace(float* dst, const float* src, std::size_t n);
 void AddRowBias(float* y, std::size_t rows, std::size_t cols,
                 const float* bias);
@@ -80,11 +81,12 @@ void MatmulAB(const float* a, std::size_t m, std::size_t k, const float* b,
 void AccumulateOuter(const float* g, std::size_t rows, std::size_t out_dim,
                      const float* x, std::size_t in_dim, float* grad_w,
                      float* grad_b);
-[[nodiscard]] double BceLossSum(const float* logits, const float* labels,
-                                std::size_t n);
-void BceGrad(const float* logits, const float* labels, std::size_t n,
-             float inv_denom, float* grad);
-void SgdUpdate(float* w, const float* g, std::size_t n, float lr);
+void InteractionForward(std::span<const float* const> inputs,
+                        std::size_t rows, std::size_t d, float* out);
+void InteractionBackward(const float* grad_out,
+                         std::span<const float* const> inputs,
+                         std::size_t rows, std::size_t d,
+                         std::span<float* const> grads);
 void AddInPlace(float* dst, const float* src, std::size_t n);
 void AddRowBias(float* y, std::size_t rows, std::size_t cols,
                 const float* bias);

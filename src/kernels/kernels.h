@@ -1,21 +1,27 @@
 // The fused/vectorized kernel layer (docs/ARCHITECTURE.md §12).
 //
-// Every kernel takes an explicit KernelBackend and is implemented twice:
+// Every kernel with an AVX2 version takes an explicit KernelBackend.
 // kernels.cpp holds the scalar reference loops (the bitwise oracle) and
 // kernels_simd.cpp the AVX2 implementations, selected at runtime. The
 // bitwise contract — vectorized output identical to scalar output, bit
-// for bit — holds because SIMD is applied only along non-reduction axes:
-// pooling and SGD vectorize across the embedding-dim axis while ids are
-// still visited in row order, the GEMMs vectorize across output columns
-// while the k-reduction of each output element stays a single scalar
-// chain in ascending-k order, and elementwise ops have no cross-lane
-// dependence at all. Nothing here reassociates a float sum, and the
-// build compiles with -ffp-contract=off so no path can fuse a*b+c into
-// an FMA the other path did not.
+// for bit — holds because SIMD is applied only along non-reduction
+// axes: pooling and SGD vectorize across the embedding-dim axis while
+// ids are still visited in row order; the GEMMs run register tiles of
+// 4 rows x 16 output columns in which every c(i,j) stays one scalar
+// chain in ascending-k order; the pairwise interaction vectorizes
+// across pairs (forward) and across dim (backward), each dot still one
+// ascending-d chain; and elementwise ops have no cross-lane dependence
+// at all.
+// Nothing here reassociates a float sum, and the build compiles with
+// -ffp-contract=off so no path can fuse a*b+c into an FMA the other
+// path did not.
 //
-// Callers (nn::EmbeddingTable, nn::Linear, loss, transforms) own all
-// shape validation and OpStats accounting; kernels trust their
-// arguments.
+// BceLossSum, BceGrad and SgdUpdate have only a scalar loop and take no
+// backend: their AVX2 versions measured no faster.
+//
+// Callers (nn::EmbeddingTable, nn::Linear, nn::FeatureInteraction,
+// loss, transforms) own all shape validation and OpStats accounting;
+// kernels trust their arguments.
 #pragma once
 
 #include <cstddef>
@@ -98,16 +104,21 @@ void GatherRows(KernelBackend backend, const float* src, std::size_t dim,
 // ---------------------------------------------------------------------------
 
 /// c = a * b^T (a: m x k, b: n x k, c: m x n) — Linear::Forward. Each
-/// c(i,j) is one scalar chain over ascending k; the vectorized path
-/// packs b into k-major j-tiles and runs 8 j-chains per AVX2 lane set,
-/// preserving each chain's order exactly.
+/// c(i,j) is one scalar chain over ascending k starting from +0; the
+/// vectorized path packs 16-column panels of b k-major and runs a
+/// 4-row x 16-column register tile (8 independent chains), preserving
+/// each chain's order exactly.
 void MatmulABt(KernelBackend backend, const float* a, std::size_t m,
                std::size_t k, const float* b, std::size_t n, float* c);
 
 /// c = a * b (a: m x k, b: k x n, c: m x n), c zero-filled first —
-/// Linear::Backward's dX. Preserves the scalar path's a(i,k)==0 row
-/// skip (skipping changes bits when b holds non-finite values or -0
-/// outputs, so both paths must skip identically).
+/// Linear::Backward's dX. The scalar path skips a(i,k)==0. When every
+/// b value is finite the skip cannot change a bit (c starts at +0 and a
+/// sum that starts at +0 never becomes -0, so adding the skipped ±0
+/// products is a no-op under round-to-nearest without flush-to-zero),
+/// and the vectorized path runs the MatmulABt register tile without
+/// it; otherwise it skips exactly as the scalar path does. The choice
+/// is made per call from the input.
 void MatmulAB(KernelBackend backend, const float* a, std::size_t m,
               std::size_t k, const float* b, std::size_t n, float* c);
 
@@ -120,30 +131,49 @@ void AccumulateOuter(KernelBackend backend, const float* g,
                      std::size_t in_dim, float* grad_w, float* grad_b);
 
 // ---------------------------------------------------------------------------
+// Pairwise feature interaction (nn::FeatureInteraction)
+// ---------------------------------------------------------------------------
+
+/// DLRM dot interaction over f = inputs.size() row-major rows x d
+/// matrices: out(r, :) = [x_0(r, :) | <x_i(r, :), x_j(r, :)> for i < j],
+/// out is rows x (d + f(f-1)/2). Each dot is one chain over ascending
+/// d starting from +0; the vectorized path runs several pairs per lane
+/// set out of a per-row transposed copy of the inputs.
+void InteractionForward(KernelBackend backend,
+                        std::span<const float* const> inputs,
+                        std::size_t rows, std::size_t d, float* out);
+
+/// Backward of InteractionForward, accumulated into grads (f matrices
+/// of rows x d): per row, grads[0](r, :) += grad_out(r, 0..d), then for
+/// each pair (i, j), i < j, in output order with gd = its grad_out
+/// entry, skipping gd == 0: grads[i](r, :) += gd * x_j(r, :) and
+/// grads[j](r, :) += gd * x_i(r, :). Lanes run across d.
+void InteractionBackward(KernelBackend backend, const float* grad_out,
+                         std::span<const float* const> inputs,
+                         std::size_t rows, std::size_t d,
+                         std::span<float* const> grads);
+
+// ---------------------------------------------------------------------------
 // Loss
 // ---------------------------------------------------------------------------
 
 /// Sum over rows of the stable BCE-with-logits term
 /// max(z,0) - z*y + log1p(exp(-|z|)), accumulated into double in row
-/// order. The transcendentals stay scalar libm calls (a vector exp
-/// would not be bit-identical); the vectorized path precomputes the
-/// algebraic parts max(z,0) - z*y and -|z| with SIMD.
-[[nodiscard]] double BceLossSum(KernelBackend backend, const float* logits,
-                                const float* labels, std::size_t n);
+/// order.
+[[nodiscard]] double BceLossSum(const float* logits, const float* labels,
+                                std::size_t n);
 
 /// grad[r] = (sigmoid(logits[r]) - labels[r]) * inv_denom, with the
-/// branchy numerically-stable sigmoid evaluated scalar per row.
-void BceGrad(KernelBackend backend, const float* logits,
-             const float* labels, std::size_t n, float inv_denom,
-             float* grad);
+/// branchy numerically-stable sigmoid.
+void BceGrad(const float* logits, const float* labels, std::size_t n,
+             float inv_denom, float* grad);
 
 // ---------------------------------------------------------------------------
 // Elementwise (SGD step, gradient combine, MLP epilogues, transforms)
 // ---------------------------------------------------------------------------
 
 /// w[i] -= lr * g[i] — the dense SGD row update (Linear::Step).
-void SgdUpdate(KernelBackend backend, float* w, const float* g,
-               std::size_t n, float lr);
+void SgdUpdate(float* w, const float* g, std::size_t n, float lr);
 
 /// dst[i] += src[i] — gradient accumulation / the chunk combine.
 void AddInPlace(KernelBackend backend, float* dst, const float* src,

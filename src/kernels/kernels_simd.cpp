@@ -3,13 +3,21 @@
 // Bitwise contract with the scalar oracle (kernels.cpp): SIMD lanes run
 // only across non-reduction axes, so every output element sees exactly
 // the scalar path's float-op sequence —
-//   * pooling / SGD / elementwise ops: 8 dim-columns per lane set, ids
-//     and rows still visited in scalar order;
-//   * MatmulABt: 8 j-columns per lane set; each lane's k-chain is the
-//     scalar `acc += a*b` chain in ascending k (b is packed k-major per
-//     j-tile so the inner loads are contiguous — the cache-blocking);
-//   * MatmulAB / AccumulateOuter: 8 j-columns per lane set with the
-//     scalar zero-skip applied per (i,k) before broadcasting;
+//   * pooling / SGD scatter / elementwise ops: 8 dim-columns per lane
+//     set, ids and rows still visited in scalar order;
+//   * MatmulABt: 16-column panels of b packed k-major, then a register
+//     tile of 4 a-rows x 2 lane sets — 8 independent accumulators, each
+//     lane the scalar `acc += a*b` chain in ascending k from +0;
+//   * MatmulAB: when b is all finite, the same tile over panels of b's
+//     rows with no zero skip (the skip cannot change bits then, see
+//     kernels.h); otherwise, and in AccumulateOuter, 8 j-columns per
+//     lane set with the scalar zero-skip applied per (i,k) before
+//     broadcasting;
+//   * the interaction forward: per batch row a transposed copy of the
+//     inputs (d x f), then up to 32 pairs (i, j..j+31) per call of the
+//     dot tile, each lane one ascending-d chain; the backward: 8
+//     d-columns per lane set, pairs in output order with the gd == 0
+//     skip;
 //   * comparisons (max pooling, ReLU, clamp) use cmp+blend/andnot
 //     sequences chosen to reproduce the scalar branch bit-for-bit,
 //     including -0.0 and NaN behavior (documented per helper).
@@ -17,7 +25,9 @@
 // -ffp-contract=off so neither path contracts where the other does not.
 //
 // Tails (dim % 8, n % 8) fall back to the scalar loop over the exact
-// remaining elements — per-element order unchanged.
+// remaining elements — per-element order unchanged. In a column-tail
+// panel the lanes past the valid columns hold leftover values from the
+// previous panel; they are computed and never stored.
 //
 // Everything is compiled for the baseline target; the AVX2 functions
 // carry a per-function target attribute and are only reached when
@@ -108,6 +118,126 @@ RECD_AVX2 inline void AddScaledRow(float* dst, const float* src, float s,
                       _mm256_mul_ps(sv, _mm256_loadu_ps(src + c))));
   }
   for (; c < d; ++c) dst[c] += s * src[c];
+}
+
+// GEMM register tile: kTileRows rows of a against a kPanel-column panel
+// of b packed k-major (panel[kk * kPanel + jj]).
+constexpr std::size_t kPanel = 2 * kLanes;
+constexpr std::size_t kTileRows = 4;
+
+// c(0..R, 0..width) = rows 0..R of a (row stride k) times the panel: 2R
+// accumulators, each lane one ascending-k `acc += a*b` chain from +0.
+template <std::size_t R>
+RECD_AVX2 inline void PanelTile(const float* a, std::size_t k,
+                                const float* panel, float* c,
+                                std::size_t ldc, std::size_t width) {
+  __m256 lo[R];
+  __m256 hi[R];
+#pragma GCC unroll 4
+  for (std::size_t r = 0; r < R; ++r) {
+    lo[r] = _mm256_setzero_ps();
+    hi[r] = _mm256_setzero_ps();
+  }
+  for (std::size_t kk = 0; kk < k; ++kk) {
+    const __m256 b0 = _mm256_loadu_ps(panel + kk * kPanel);
+    const __m256 b1 = _mm256_loadu_ps(panel + kk * kPanel + kLanes);
+#pragma GCC unroll 4
+    for (std::size_t r = 0; r < R; ++r) {
+      const __m256 av = _mm256_broadcast_ss(a + r * k + kk);
+      lo[r] = _mm256_add_ps(lo[r], _mm256_mul_ps(av, b0));
+      hi[r] = _mm256_add_ps(hi[r], _mm256_mul_ps(av, b1));
+    }
+  }
+  for (std::size_t r = 0; r < R; ++r) {
+    float* cr = c + r * ldc;
+    if (width == kPanel) {
+      _mm256_storeu_ps(cr, lo[r]);
+      _mm256_storeu_ps(cr + kLanes, hi[r]);
+    } else {
+      alignas(32) float tmp[kPanel];
+      _mm256_store_ps(tmp, lo[r]);
+      _mm256_store_ps(tmp + kLanes, hi[r]);
+      std::memcpy(cr, tmp, width * sizeof(float));
+    }
+  }
+}
+
+// c (m x n) = a (m x k) times a b handed over one panel at a time:
+// pack(j0, jw, panel) writes columns [j0, j0 + jw) of b k-major into
+// panel[kk * kPanel + jj]. Lanes past jw (the last panel only) are
+// computed and never stored.
+template <typename Pack>
+RECD_AVX2 inline void PanelGemm(const float* a, std::size_t m,
+                                std::size_t k, std::size_t n, float* c,
+                                Pack&& pack) {
+  std::vector<float> panel(k * kPanel, 0.0f);
+  for (std::size_t j0 = 0; j0 < n; j0 += kPanel) {
+    const std::size_t jw = std::min(kPanel, n - j0);
+    pack(j0, jw, panel.data());
+    std::size_t i = 0;
+    for (; i + kTileRows <= m; i += kTileRows) {
+      PanelTile<kTileRows>(a + i * k, k, panel.data(), c + i * n + j0, n,
+                           jw);
+    }
+    switch (m - i) {
+      case 3:
+        PanelTile<3>(a + i * k, k, panel.data(), c + i * n + j0, n, jw);
+        break;
+      case 2:
+        PanelTile<2>(a + i * k, k, panel.data(), c + i * n + j0, n, jw);
+        break;
+      case 1:
+        PanelTile<1>(a + i * k, k, panel.data(), c + i * n + j0, n, jw);
+        break;
+      default:
+        break;
+    }
+  }
+}
+
+// True when no x[0..n) is Inf or NaN (exponent bits all ones).
+RECD_AVX2 inline bool AllFinite(const float* x, std::size_t n) {
+  const __m256i exp = _mm256_set1_epi32(0x7f800000);
+  __m256i bad = _mm256_setzero_si256();
+  std::size_t i = 0;
+  for (; i + kLanes <= n; i += kLanes) {
+    const __m256i v =
+        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(x + i));
+    bad = _mm256_or_si256(
+        bad, _mm256_cmpeq_epi32(_mm256_and_si256(v, exp), exp));
+  }
+  bool finite = _mm256_testz_si256(bad, bad) != 0;
+  for (; i < n; ++i) finite = finite && std::isfinite(x[i]);
+  return finite;
+}
+
+// Pairs per call of the interaction dot tile.
+constexpr std::size_t kPairTile = 4 * kLanes;
+
+// dst[q] = <x_i, x_{j+q}> for q < count, out of one batch row's
+// transposed inputs t (t[c * stride + i] = x_i[c]): NV lane sets, each
+// lane one ascending-d `dot += xi*xj` chain from +0.
+template <std::size_t NV>
+RECD_AVX2 inline void PairDots(const float* t, std::size_t stride,
+                               std::size_t d, std::size_t i, std::size_t j,
+                               float* dst, std::size_t count) {
+  __m256 acc[NV];
+#pragma GCC unroll 4
+  for (std::size_t v = 0; v < NV; ++v) acc[v] = _mm256_setzero_ps();
+  for (std::size_t c = 0; c < d; ++c) {
+    const float* tc = t + c * stride;
+    const __m256 xi = _mm256_broadcast_ss(tc + i);
+#pragma GCC unroll 4
+    for (std::size_t v = 0; v < NV; ++v) {
+      acc[v] = _mm256_add_ps(
+          acc[v], _mm256_mul_ps(xi, _mm256_loadu_ps(tc + j + v * kLanes)));
+    }
+  }
+  alignas(32) float tmp[NV * kLanes];
+  for (std::size_t v = 0; v < NV; ++v) {
+    _mm256_store_ps(tmp + v * kLanes, acc[v]);
+  }
+  std::memcpy(dst, tmp, count * sizeof(float));
 }
 
 }  // namespace
@@ -201,42 +331,28 @@ RECD_AVX2 void ScatterSgdUpdate(const tensor::JaggedTensor& batch,
 
 RECD_AVX2 void MatmulABt(const float* a, std::size_t m, std::size_t k,
                          const float* b, std::size_t n, float* c) {
-  // Pack 8 rows of b (8 output columns) k-major, then every a-row runs
-  // 8 independent k-chains out of one contiguous stream. The pack is
-  // reused across all m rows — the cache-blocking that makes the
-  // column-major access pattern disappear.
-  std::vector<float> pack(k * kLanes);
-  for (std::size_t j0 = 0; j0 < n; j0 += kLanes) {
-    const std::size_t jw = std::min(kLanes, n - j0);
-    for (std::size_t kk = 0; kk < k; ++kk) {
-      float* p = pack.data() + kk * kLanes;
-      for (std::size_t jj = 0; jj < jw; ++jj) {
-        p[jj] = b[(j0 + jj) * k + kk];
-      }
-      for (std::size_t jj = jw; jj < kLanes; ++jj) p[jj] = 0.0f;
-    }
-    for (std::size_t i = 0; i < m; ++i) {
-      const float* ar = a + i * k;
-      __m256 acc = _mm256_setzero_ps();
-      for (std::size_t kk = 0; kk < k; ++kk) {
-        const __m256 av = _mm256_set1_ps(ar[kk]);
-        const __m256 bv = _mm256_loadu_ps(pack.data() + kk * kLanes);
-        acc = _mm256_add_ps(acc, _mm256_mul_ps(av, bv));
-      }
-      float* cr = c + i * n + j0;
-      if (jw == kLanes) {
-        _mm256_storeu_ps(cr, acc);
-      } else {
-        float tmp[kLanes];
-        _mm256_storeu_ps(tmp, acc);
-        std::memcpy(cr, tmp, jw * sizeof(float));
-      }
-    }
-  }
+  PanelGemm(a, m, k, n, c,
+            [&](std::size_t j0, std::size_t jw, float* panel) {
+              for (std::size_t kk = 0; kk < k; ++kk) {
+                for (std::size_t jj = 0; jj < jw; ++jj) {
+                  panel[kk * kPanel + jj] = b[(j0 + jj) * k + kk];
+                }
+              }
+            });
 }
 
 RECD_AVX2 void MatmulAB(const float* a, std::size_t m, std::size_t k,
                         const float* b, std::size_t n, float* c) {
+  if (AllFinite(b, k * n)) {
+    PanelGemm(a, m, k, n, c,
+              [&](std::size_t j0, std::size_t jw, float* panel) {
+                for (std::size_t kk = 0; kk < k; ++kk) {
+                  std::memcpy(panel + kk * kPanel, b + kk * n + j0,
+                              jw * sizeof(float));
+                }
+              });
+    return;
+  }
   std::memset(c, 0, m * n * sizeof(float));
   for (std::size_t i = 0; i < m; ++i) {
     const float* ar = a + i * k;
@@ -265,73 +381,66 @@ RECD_AVX2 void AccumulateOuter(const float* g, std::size_t rows,
   }
 }
 
-RECD_AVX2 double BceLossSum(const float* logits, const float* labels,
-                            std::size_t n) {
-  // SIMD computes the algebraic parts alg = max(z,0) - z*y and
-  // t = -|z|; log1p/exp stay scalar libm (a vector exp would not be
-  // bit-identical). The double accumulation runs in row order, and
-  // alg + log1p(exp(t)) reproduces the scalar expression's float
-  // evaluation order.
-  constexpr std::size_t kBlock = 256;
-  alignas(32) float alg[kBlock];
-  alignas(32) float t[kBlock];
-  const __m256 zero = _mm256_setzero_ps();
-  const __m256 sign = _mm256_set1_ps(-0.0f);
-  double total = 0.0;
-  for (std::size_t base = 0; base < n; base += kBlock) {
-    const std::size_t len = std::min(kBlock, n - base);
-    std::size_t i = 0;
-    for (; i + kLanes <= len; i += kLanes) {
-      const __m256 z = _mm256_loadu_ps(logits + base + i);
-      const __m256 y = _mm256_loadu_ps(labels + base + i);
-      // max(z, 0.0f) as vmaxps(0, z): ±0 and NaN resolve to the second
-      // operand, matching std::max's (a<b)?b:a with a==z.
-      const __m256 mz = _mm256_max_ps(zero, z);
-      _mm256_storeu_ps(alg + i,
-                       _mm256_sub_ps(mz, _mm256_mul_ps(z, y)));
-      // -|z| = z with the sign bit forced on — bit-exact.
-      _mm256_storeu_ps(t + i, _mm256_or_ps(_mm256_andnot_ps(sign, z),
-                                           sign));
+RECD_AVX2 void InteractionForward(std::span<const float* const> inputs,
+                                  std::size_t rows, std::size_t d,
+                                  float* out) {
+  const std::size_t f = inputs.size();
+  const std::size_t width = d + f * (f - 1) / 2;
+  // t(c, i) = x_i(r, c), with kLanes - 1 zero columns of padding so a
+  // lane set starting at any j < f stays inside the row.
+  const std::size_t stride = f + kLanes - 1;
+  std::vector<float> t(d * stride, 0.0f);
+  for (std::size_t r = 0; r < rows; ++r) {
+    for (std::size_t i = 0; i < f; ++i) {
+      const float* xi = inputs[i] + r * d;
+      for (std::size_t c = 0; c < d; ++c) t[c * stride + i] = xi[c];
     }
-    for (; i < len; ++i) {
-      const float z = logits[base + i];
-      alg[i] = std::max(z, 0.0f) - z * labels[base + i];
-      t[i] = -std::abs(z);
-    }
-    for (std::size_t r = 0; r < len; ++r) {
-      total += alg[r] + std::log1p(std::exp(t[r]));
+    float* orow = out + r * width;
+    std::memcpy(orow, inputs[0] + r * d, d * sizeof(float));
+    float* dots = orow + d;
+    for (std::size_t i = 0; i + 1 < f; ++i) {
+      for (std::size_t j = i + 1; j < f; j += kPairTile) {
+        const std::size_t count = std::min(kPairTile, f - j);
+        switch ((count + kLanes - 1) / kLanes) {
+          case 1:
+            PairDots<1>(t.data(), stride, d, i, j, dots, count);
+            break;
+          case 2:
+            PairDots<2>(t.data(), stride, d, i, j, dots, count);
+            break;
+          case 3:
+            PairDots<3>(t.data(), stride, d, i, j, dots, count);
+            break;
+          default:
+            PairDots<4>(t.data(), stride, d, i, j, dots, count);
+            break;
+        }
+        dots += count;
+      }
     }
   }
-  return total;
 }
 
-RECD_AVX2 void BceGrad(const float* logits, const float* labels,
-                       std::size_t n, float inv_denom, float* grad) {
-  // The branchy stable sigmoid stays scalar; the (s - y) * inv_denom
-  // epilogue runs vectorized over rows (elementwise — no reduction).
-  for (std::size_t r = 0; r < n; ++r) {
-    const float z = logits[r];
-    if (z >= 0.0f) {
-      grad[r] = 1.0f / (1.0f + std::exp(-z));
-    } else {
-      const float e = std::exp(z);
-      grad[r] = e / (1.0f + e);
+RECD_AVX2 void InteractionBackward(const float* grad_out,
+                                   std::span<const float* const> inputs,
+                                   std::size_t rows, std::size_t d,
+                                   std::span<float* const> grads) {
+  const std::size_t f = inputs.size();
+  const std::size_t width = d + f * (f - 1) / 2;
+  for (std::size_t r = 0; r < rows; ++r) {
+    const float* g = grad_out + r * width;
+    const std::size_t off = r * d;
+    AddRows(grads[0] + off, g, d);
+    std::size_t k = d;
+    for (std::size_t i = 0; i < f; ++i) {
+      for (std::size_t j = i + 1; j < f; ++j) {
+        const float gd = g[k++];
+        if (gd == 0.0f) continue;
+        AddScaledRow(grads[i] + off, inputs[j] + off, gd, d);
+        AddScaledRow(grads[j] + off, inputs[i] + off, gd, d);
+      }
     }
   }
-  const __m256 inv = _mm256_set1_ps(inv_denom);
-  std::size_t r = 0;
-  for (; r + kLanes <= n; r += kLanes) {
-    const __m256 s = _mm256_loadu_ps(grad + r);
-    const __m256 y = _mm256_loadu_ps(labels + r);
-    _mm256_storeu_ps(grad + r,
-                     _mm256_mul_ps(_mm256_sub_ps(s, y), inv));
-  }
-  for (; r < n; ++r) grad[r] = (grad[r] - labels[r]) * inv_denom;
-}
-
-RECD_AVX2 void SgdUpdate(float* w, const float* g, std::size_t n,
-                         float lr) {
-  SubScaledRow(w, g, lr, n);
 }
 
 RECD_AVX2 void AddInPlace(float* dst, const float* src, std::size_t n) {
@@ -443,15 +552,15 @@ void AccumulateOuter(const float* g, std::size_t rows, std::size_t out_dim,
                      float* grad_b) {
   detail::AccumulateOuter(g, rows, out_dim, x, in_dim, grad_w, grad_b);
 }
-double BceLossSum(const float* logits, const float* labels, std::size_t n) {
-  return detail::BceLossSum(logits, labels, n);
+void InteractionForward(std::span<const float* const> inputs,
+                        std::size_t rows, std::size_t d, float* out) {
+  detail::InteractionForward(inputs, rows, d, out);
 }
-void BceGrad(const float* logits, const float* labels, std::size_t n,
-             float inv_denom, float* grad) {
-  detail::BceGrad(logits, labels, n, inv_denom, grad);
-}
-void SgdUpdate(float* w, const float* g, std::size_t n, float lr) {
-  detail::SgdUpdate(w, g, n, lr);
+void InteractionBackward(const float* grad_out,
+                         std::span<const float* const> inputs,
+                         std::size_t rows, std::size_t d,
+                         std::span<float* const> grads) {
+  detail::InteractionBackward(grad_out, inputs, rows, d, grads);
 }
 void AddInPlace(float* dst, const float* src, std::size_t n) {
   detail::AddInPlace(dst, src, n);

@@ -2,7 +2,21 @@
 
 #include <stdexcept>
 
+#include "kernels/kernels.h"
+
 namespace recd::nn {
+
+namespace {
+
+std::vector<const float*> InputPointers(
+    const std::vector<const DenseMatrix*>& inputs) {
+  std::vector<const float*> ptrs;
+  ptrs.reserve(inputs.size());
+  for (const auto* m : inputs) ptrs.push_back(m->data().data());
+  return ptrs;
+}
+
+}  // namespace
 
 std::size_t FeatureInteraction::OutputDim(std::size_t num_inputs,
                                           std::size_t dim) {
@@ -23,21 +37,8 @@ DenseMatrix FeatureInteraction::Forward(
   }
   const std::size_t f = inputs.size();
   DenseMatrix out(rows, OutputDim(f, d));
-  for (std::size_t r = 0; r < rows; ++r) {
-    auto orow = out.row(r);
-    const auto base = inputs[0]->row(r);
-    std::copy(base.begin(), base.end(), orow.begin());
-    std::size_t k = d;
-    for (std::size_t i = 0; i < f; ++i) {
-      const auto xi = inputs[i]->row(r);
-      for (std::size_t j = i + 1; j < f; ++j) {
-        const auto xj = inputs[j]->row(r);
-        float dot = 0.0f;
-        for (std::size_t c = 0; c < d; ++c) dot += xi[c] * xj[c];
-        orow[k++] = dot;
-      }
-    }
-  }
+  kernels::InteractionForward(backend_, InputPointers(inputs), rows, d,
+                              out.data().data());
   stats_.flops += 2ull * rows * d * (f * (f - 1) / 2);
   stats_.bytes_written += out.byte_size();
   return out;
@@ -55,27 +56,11 @@ void FeatureInteraction::Backward(
         "FeatureInteraction::Backward: grad shape mismatch");
   }
   grad_inputs.assign(f, DenseMatrix(rows, d));
-  for (std::size_t r = 0; r < rows; ++r) {
-    const auto g = grad_out.row(r);
-    // Pass-through of the copied x_0 block.
-    auto g0 = grad_inputs[0].row(r);
-    for (std::size_t c = 0; c < d; ++c) g0[c] += g[c];
-    std::size_t k = d;
-    for (std::size_t i = 0; i < f; ++i) {
-      const auto xi = inputs[i]->row(r);
-      auto gi = grad_inputs[i].row(r);
-      for (std::size_t j = i + 1; j < f; ++j) {
-        const auto xj = inputs[j]->row(r);
-        auto gj = grad_inputs[j].row(r);
-        const float gd = g[k++];
-        if (gd == 0.0f) continue;
-        for (std::size_t c = 0; c < d; ++c) {
-          gi[c] += gd * xj[c];
-          gj[c] += gd * xi[c];
-        }
-      }
-    }
-  }
+  std::vector<float*> grads;
+  grads.reserve(f);
+  for (auto& g : grad_inputs) grads.push_back(g.data().data());
+  kernels::InteractionBackward(backend_, grad_out.data().data(),
+                               InputPointers(inputs), rows, d, grads);
   stats_.flops += 4ull * rows * d * (f * (f - 1) / 2);
 }
 

@@ -3,6 +3,7 @@
 
 #include <vector>
 
+#include "kernels/backend.h"
 #include "nn/dense_matrix.h"
 #include "nn/op_stats.h"
 
@@ -12,7 +13,8 @@ namespace recd::nn {
 /// with all pairwise dot products among the inputs' rows:
 ///   out = [x_0 | <x_i, x_j> for i < j]
 /// where x_0 is conventionally the bottom-MLP output and x_1..x_F the
-/// pooled embeddings. All inputs must share rows and cols.
+/// pooled embeddings. All inputs must share rows and cols. The loops
+/// are kernels::InteractionForward/Backward.
 class FeatureInteraction {
  public:
   [[nodiscard]] DenseMatrix Forward(
@@ -31,7 +33,13 @@ class FeatureInteraction {
   [[nodiscard]] const OpStats& stats() const { return stats_; }
   void ResetStats() { stats_ = {}; }
 
+  /// Kernel backend (defaults to the process-wide
+  /// kernels::DefaultBackend()); bitwise-neutral.
+  void set_backend(kernels::KernelBackend b) { backend_ = b; }
+  [[nodiscard]] kernels::KernelBackend backend() const { return backend_; }
+
  private:
+  kernels::KernelBackend backend_ = kernels::DefaultBackend();
   OpStats stats_;
 };
 

@@ -15,20 +15,14 @@ float Sigmoid(float x) {
   return e / (1.0f + e);
 }
 
-double BceWithLogitsLossSum(kernels::KernelBackend backend,
-                            const DenseMatrix& logits,
+double BceWithLogitsLossSum(const DenseMatrix& logits,
                             std::span<const float> labels) {
   if (logits.rows() != labels.size() || logits.cols() != 1) {
     throw std::invalid_argument("BceWithLogitsLossSum: shape mismatch");
   }
   // loss term = max(z,0) - z*y + log(1 + exp(-|z|)) (stable form).
-  return kernels::BceLossSum(backend, logits.data().data(), labels.data(),
+  return kernels::BceLossSum(logits.data().data(), labels.data(),
                              labels.size());
-}
-
-double BceWithLogitsLossSum(const DenseMatrix& logits,
-                            std::span<const float> labels) {
-  return BceWithLogitsLossSum(kernels::DefaultBackend(), logits, labels);
 }
 
 float BceWithLogitsLoss(const DenseMatrix& logits,
@@ -37,8 +31,7 @@ float BceWithLogitsLoss(const DenseMatrix& logits,
                             static_cast<double>(logits.rows()));
 }
 
-DenseMatrix BceWithLogitsGrad(kernels::KernelBackend backend,
-                              const DenseMatrix& logits,
+DenseMatrix BceWithLogitsGrad(const DenseMatrix& logits,
                               std::span<const float> labels,
                               std::size_t denom) {
   if (logits.rows() != labels.size() || logits.cols() != 1) {
@@ -49,16 +42,9 @@ DenseMatrix BceWithLogitsGrad(kernels::KernelBackend backend,
   }
   DenseMatrix grad(logits.rows(), 1);
   const float inv_n = 1.0f / static_cast<float>(denom);
-  kernels::BceGrad(backend, logits.data().data(), labels.data(),
-                   labels.size(), inv_n, grad.data().data());
+  kernels::BceGrad(logits.data().data(), labels.data(), labels.size(),
+                   inv_n, grad.data().data());
   return grad;
-}
-
-DenseMatrix BceWithLogitsGrad(const DenseMatrix& logits,
-                              std::span<const float> labels,
-                              std::size_t denom) {
-  return BceWithLogitsGrad(kernels::DefaultBackend(), logits, labels,
-                           denom);
 }
 
 DenseMatrix BceWithLogitsGrad(const DenseMatrix& logits,

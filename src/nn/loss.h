@@ -4,7 +4,6 @@
 #include <span>
 #include <vector>
 
-#include "kernels/backend.h"
 #include "nn/dense_matrix.h"
 
 namespace recd::nn {
@@ -23,12 +22,6 @@ namespace recd::nn {
 [[nodiscard]] double BceWithLogitsLossSum(const DenseMatrix& logits,
                                           std::span<const float> labels);
 
-/// Backend-pinned variant (the overload above uses
-/// kernels::DefaultBackend()); bitwise-identical across backends.
-[[nodiscard]] double BceWithLogitsLossSum(kernels::KernelBackend backend,
-                                          const DenseMatrix& logits,
-                                          std::span<const float> labels);
-
 /// dL/dlogits for the mean BCE loss: (sigmoid(z) - y) / N, rows x 1.
 [[nodiscard]] DenseMatrix BceWithLogitsGrad(const DenseMatrix& logits,
                                             std::span<const float> labels);
@@ -36,12 +29,6 @@ namespace recd::nn {
 /// Same, but the mean is taken over `denom` rows — the *global* batch
 /// size when `logits` covers only one rank's or one chunk's rows.
 [[nodiscard]] DenseMatrix BceWithLogitsGrad(const DenseMatrix& logits,
-                                            std::span<const float> labels,
-                                            std::size_t denom);
-
-/// Backend-pinned variant of the denom-explicit gradient.
-[[nodiscard]] DenseMatrix BceWithLogitsGrad(kernels::KernelBackend backend,
-                                            const DenseMatrix& logits,
                                             std::span<const float> labels,
                                             std::size_t denom);
 

@@ -89,9 +89,9 @@ void Linear::LoadParameters(DenseMatrix weights, std::vector<float> bias) {
 }
 
 void Linear::Step(float lr) {
-  kernels::SgdUpdate(backend_, w_.data().data(), grad_w_.data().data(),
-                     w_.size(), lr);
-  kernels::SgdUpdate(backend_, b_.data(), grad_b_.data(), b_.size(), lr);
+  kernels::SgdUpdate(w_.data().data(), grad_w_.data().data(), w_.size(),
+                     lr);
+  kernels::SgdUpdate(b_.data(), grad_b_.data(), b_.size(), lr);
   grad_w_.Fill(0.0f);
   std::fill(grad_b_.begin(), grad_b_.end(), 0.0f);
 }

@@ -160,6 +160,8 @@ class CollectiveGroup {
       std::size_t width, Exchange tag = Exchange::kNone) {
     // Frame: per chunk, [id, count] header then the data.
     std::vector<std::byte> frame;
+    frame.reserve(chunks.size() *
+                  (2 * sizeof(std::uint64_t) + width * sizeof(T)));
     for (const auto& [id, data] : chunks) {
       if (data.size() != width) {
         throw std::invalid_argument(
@@ -175,35 +177,47 @@ class CollectiveGroup {
     send[num_ranks_ - 1] = std::move(frame);
     auto gathered = AllToAll<std::byte>(rank, std::move(send), tag);
 
-    std::vector<std::pair<std::size_t, std::vector<T>>> all;
+    // Reduce straight out of the received frames: each chunk is its id
+    // and the address of its payload, summed in ascending id order.
+    struct Part {
+      std::uint64_t id;
+      const std::byte* data;
+    };
+    std::vector<Part> parts;
     for (const auto& buf : gathered) {
       std::size_t pos = 0;
       while (pos < buf.size()) {
         const auto id = ReadScalar(buf, pos);
         const auto count = ReadScalar(buf, pos);
-        // Overflow-safe bounds check before sizing anything by a
-        // frame-decoded count.
+        // Overflow-safe bounds check before reading a frame-decoded
+        // count of values.
         if (count > (buf.size() - pos) / sizeof(T)) {
           throw std::runtime_error(
               "CollectiveGroup::AllReduceSum: truncated frame");
         }
-        std::vector<T> data(count);
-        std::memcpy(data.data(), buf.data() + pos, count * sizeof(T));
+        if (count != width) {
+          throw std::runtime_error(
+              "CollectiveGroup::AllReduceSum: chunk width mismatch");
+        }
+        parts.push_back({id, buf.data() + pos});
         pos += count * sizeof(T);
-        all.emplace_back(static_cast<std::size_t>(id), std::move(data));
       }
     }
-    std::sort(all.begin(), all.end(),
-              [](const auto& a, const auto& b) { return a.first < b.first; });
-    for (std::size_t i = 1; i < all.size(); ++i) {
-      if (all[i].first == all[i - 1].first) {
+    std::sort(parts.begin(), parts.end(),
+              [](const Part& a, const Part& b) { return a.id < b.id; });
+    for (std::size_t i = 1; i < parts.size(); ++i) {
+      if (parts[i].id == parts[i - 1].id) {
         throw std::invalid_argument(
             "CollectiveGroup::AllReduceSum: duplicate chunk id");
       }
     }
     std::vector<T> acc(width, T{});
-    for (const auto& [id, data] : all) {
-      for (std::size_t i = 0; i < width; ++i) acc[i] += data[i];
+    for (const auto& part : parts) {
+      for (std::size_t i = 0; i < width; ++i) {
+        T value{};
+        std::memcpy(&value, part.data + i * sizeof(T), sizeof(T));
+        acc[i] += value;
+      }
     }
     return acc;
   }

@@ -59,7 +59,14 @@ tensor::JaggedTensor ReadJagged(const std::vector<std::int64_t>& buf,
 
 std::vector<float> FlattenGrads(const nn::MlpGradients& bottom,
                                 const nn::MlpGradients& top) {
+  std::size_t width = 0;
+  for (const auto* g : {&bottom, &top}) {
+    for (std::size_t l = 0; l < g->grad_w.size(); ++l) {
+      width += g->grad_w[l].size() + g->grad_b[l].size();
+    }
+  }
   std::vector<float> flat;
+  flat.reserve(width);
   for (const auto* g : {&bottom, &top}) {
     for (std::size_t l = 0; l < g->grad_w.size(); ++l) {
       const auto w = g->grad_w[l].data();
@@ -148,6 +155,7 @@ struct DistributedTrainer::RankState {
         }()) {
     bottom.set_backend(backend);
     top.set_backend(backend);
+    interaction.set_backend(backend);
   }
 };
 
@@ -599,10 +607,10 @@ void DistributedTrainer::RunRank(
         std::span<const float>(batch.labels).subspan(lo + clo, rows);
     loss_chunks.emplace_back(
         c, std::vector<double>{
-               nn::BceWithLogitsLossSum(config_.backend, logits, labels)});
+               nn::BceWithLogitsLossSum(logits, labels)});
 
     nn::DenseMatrix grad_logits =
-        nn::BceWithLogitsGrad(config_.backend, logits, labels, batch_size);
+        nn::BceWithLogitsGrad(logits, labels, batch_size);
     nn::DenseMatrix grad_interacted = st.top.Backward(grad_logits);
     std::vector<nn::DenseMatrix> grad_inputs;
     st.interaction.Backward(grad_interacted, ptrs, grad_inputs);

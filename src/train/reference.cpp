@@ -362,10 +362,10 @@ float ReferenceDlrm::TrainStep(const reader::PreprocessedBatch& batch,
     nn::DenseMatrix logits = top_mlp_.Forward(interacted);
     const auto labels =
         std::span<const float>(batch.labels).subspan(lo, rows);
-    cap.loss_sum = nn::BceWithLogitsLossSum(backend_, logits, labels);
+    cap.loss_sum = nn::BceWithLogitsLossSum(logits, labels);
 
     nn::DenseMatrix grad_logits =
-        nn::BceWithLogitsGrad(backend_, logits, labels, batch_size);
+        nn::BceWithLogitsGrad(logits, labels, batch_size);
     nn::DenseMatrix grad_interacted = top_mlp_.Backward(grad_logits);
     interaction_.Backward(grad_interacted, ptrs, cap.grad_inputs);
     (void)bottom_mlp_.Backward(cap.grad_inputs[0]);
@@ -456,6 +456,7 @@ void ReferenceDlrm::SetKernelBackend(kernels::KernelBackend b) {
   backend_ = b;
   bottom_mlp_.set_backend(b);
   top_mlp_.set_backend(b);
+  interaction_.set_backend(b);
   for (auto& t : tables_) t.set_backend(b);
 }
 

@@ -173,6 +173,30 @@ TEST(CollectiveGroupTest, AllReduceRejectsDuplicateChunkIds) {
                std::invalid_argument);
 }
 
+TEST(CollectiveGroupTest, AllReduceRejectsChunksOfAnotherWidth) {
+  // Ranks disagreeing on the width: each receives a chunk whose count
+  // is not its own width and must throw rather than read past it or
+  // drop values.
+  CollectiveGroup group(2);
+  std::vector<int> threw(2, 0);
+  std::vector<std::thread> threads;
+  for (std::size_t r = 0; r < 2; ++r) {
+    threads.emplace_back([&, r] {
+      const std::size_t width = 2 + r;
+      const std::vector<std::pair<std::size_t, std::vector<float>>> mine = {
+          {r, std::vector<float>(width, 1.0f)}};
+      try {
+        (void)group.AllReduceSum<float>(r, mine, width);
+      } catch (const std::runtime_error&) {
+        threw[r] = 1;
+      }
+    });
+  }
+  for (auto& t : threads) t.join();
+  EXPECT_EQ(threw[0], 1);
+  EXPECT_EQ(threw[1], 1);
+}
+
 TEST(CollectiveGroupTest, ZeroRanksThrows) {
   EXPECT_THROW(CollectiveGroup(0), std::invalid_argument);
 }

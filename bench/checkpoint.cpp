@@ -18,7 +18,7 @@
 #include "common/stopwatch.h"
 #include "datagen/generator.h"
 #include "etl/etl.h"
-#include "reader/reader.h"
+#include "reader/reader_pool.h"
 #include "storage/table.h"
 #include "train/checkpoint.h"
 #include "train/distributed.h"
@@ -50,10 +50,10 @@ int main(int argc, char** argv) {
   for (const auto& f : spec.sparse) schema.sparse_names.push_back(f.name);
   storage::BlobStore store;
   auto landed = storage::LandTable(store, "t", schema, {std::move(samples)});
-  reader::Reader recd_reader(
+  reader::ReaderPool recd_reader(
       store, landed.table, train::MakeDataLoaderConfig(model, batch_size, true),
       reader::ReaderOptions{.use_ikjt = true});
-  reader::Reader base_reader(
+  reader::ReaderPool base_reader(
       store, landed.table,
       train::MakeDataLoaderConfig(model, batch_size, false),
       reader::ReaderOptions{.use_ikjt = false});

@@ -25,7 +25,7 @@
 #include "etl/etl.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
-#include "reader/reader.h"
+#include "reader/reader_pool.h"
 #include "storage/table.h"
 #include "train/distributed.h"
 #include "train/reference.h"
@@ -66,10 +66,10 @@ int main(int argc, char** argv) {
   for (const auto& f : spec.sparse) schema.sparse_names.push_back(f.name);
   storage::BlobStore store;
   auto landed = storage::LandTable(store, "t", schema, {std::move(samples)});
-  reader::Reader recd_reader(
+  reader::ReaderPool recd_reader(
       store, landed.table, train::MakeDataLoaderConfig(model, batch_size, true),
       reader::ReaderOptions{.use_ikjt = true});
-  reader::Reader base_reader(
+  reader::ReaderPool base_reader(
       store, landed.table,
       train::MakeDataLoaderConfig(model, batch_size, false),
       reader::ReaderOptions{.use_ikjt = false});

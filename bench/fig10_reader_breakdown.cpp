@@ -10,7 +10,6 @@
 #include "bench_util.h"
 #include "common/stopwatch.h"
 #include "etl/etl.h"
-#include "reader/reader.h"
 #include "reader/reader_pool.h"
 #include "storage/table.h"
 
@@ -38,8 +37,8 @@ Breakdown RunReader(recd::storage::BlobStore& store,
   }
   loader.transforms.push_back(
       {reader::TransformKind::kDenseNormalize, "", 0.0, 1.0});
-  reader::Reader rdr(store, table, loader,
-                     reader::ReaderOptions{.use_ikjt = use_ikjt});
+  reader::ReaderPool rdr(store, table, loader,
+                         reader::ReaderOptions{.use_ikjt = use_ikjt});
   while (rdr.NextBatch().has_value()) {
   }
   return {rdr.times().fill_s, rdr.times().convert_s,

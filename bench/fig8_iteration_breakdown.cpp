@@ -18,7 +18,7 @@
 #include "datagen/generator.h"
 #include "etl/etl.h"
 #include "kernels/backend.h"
-#include "reader/reader.h"
+#include "reader/reader_pool.h"
 #include "storage/table.h"
 #include "train/reference.h"
 
@@ -126,7 +126,7 @@ int main(int argc, char** argv) {
                 "vec ms/it", "speedup");
     bench::PrintRule();
     for (const bool use_ikjt : {false, true}) {
-      reader::Reader reader(
+      reader::ReaderPool reader(
           store, landed.table,
           train::MakeDataLoaderConfig(model, batch_size, use_ikjt),
           reader::ReaderOptions{.use_ikjt = use_ikjt});

@@ -9,7 +9,7 @@
 
 #include "bench_util.h"
 #include "etl/etl.h"
-#include "reader/reader.h"
+#include "reader/reader_pool.h"
 #include "storage/table.h"
 
 int main() {
@@ -34,8 +34,8 @@ int main() {
 
   auto run = [&](const storage::Table& table, bool use_ikjt) {
     auto loader = train::MakeDataLoaderConfig(b.model, 512, use_ikjt);
-    reader::Reader rdr(store, table, loader,
-                       reader::ReaderOptions{.use_ikjt = use_ikjt});
+    reader::ReaderPool rdr(store, table, loader,
+                           reader::ReaderOptions{.use_ikjt = use_ikjt});
     while (rdr.NextBatch().has_value()) {
     }
     return rdr.io();

@@ -13,7 +13,7 @@
 #include "datagen/generator.h"
 #include "datagen/presets.h"
 #include "etl/etl.h"
-#include "reader/reader.h"
+#include "reader/reader_pool.h"
 #include "storage/table.h"
 #include "train/model.h"
 #include "train/reference.h"
@@ -34,18 +34,18 @@ double TrainAndEval(const datagen::DatasetSpec& spec,
   for (int e = 0; e < epochs; ++e) {
     storage::BlobStore store;
     auto landed = storage::LandTable(store, "t", schema, {train_set});
-    reader::Reader rdr(store, landed.table,
-                       train::MakeDataLoaderConfig(model, 128, true),
-                       reader::ReaderOptions{.use_ikjt = true});
+    reader::ReaderPool rdr(store, landed.table,
+                           train::MakeDataLoaderConfig(model, 128, true),
+                           reader::ReaderOptions{.use_ikjt = true});
     while (auto batch = rdr.NextBatch()) {
       (void)dlrm.TrainStep(*batch, 0.03f);
     }
   }
   storage::BlobStore store;
   auto landed = storage::LandTable(store, "e", schema, {eval_set});
-  reader::Reader rdr(store, landed.table,
-                     train::MakeDataLoaderConfig(model, 128, true),
-                     reader::ReaderOptions{.use_ikjt = true});
+  reader::ReaderPool rdr(store, landed.table,
+                         train::MakeDataLoaderConfig(model, 128, true),
+                         reader::ReaderOptions{.use_ikjt = true});
   double total = 0;
   std::size_t n = 0;
   while (auto batch = rdr.NextBatch()) {
@@ -100,12 +100,12 @@ int main() {
   for (const auto& f : spec.sparse) schema.sparse_names.push_back(f.name);
   storage::BlobStore store;
   auto landed = storage::LandTable(store, "t", schema, {clustered});
-  reader::Reader recd_rdr(store, landed.table,
-                          train::MakeDataLoaderConfig(model, 128, true),
-                          reader::ReaderOptions{.use_ikjt = true});
-  reader::Reader base_rdr(store, landed.table,
-                          train::MakeDataLoaderConfig(model, 128, false),
-                          reader::ReaderOptions{.use_ikjt = false});
+  reader::ReaderPool recd_rdr(store, landed.table,
+                              train::MakeDataLoaderConfig(model, 128, true),
+                              reader::ReaderOptions{.use_ikjt = true});
+  reader::ReaderPool base_rdr(store, landed.table,
+                              train::MakeDataLoaderConfig(model, 128, false),
+                              reader::ReaderOptions{.use_ikjt = false});
   train::ReferenceDlrm a(model, 5);
   train::ReferenceDlrm b(model, 5);
   bool identical = true;

@@ -8,7 +8,7 @@
 #include "datagen/generator.h"
 #include "datagen/presets.h"
 #include "etl/etl.h"
-#include "reader/reader.h"
+#include "reader/reader_pool.h"
 #include "storage/table.h"
 #include "train/model.h"
 #include "train/reference.h"
@@ -33,9 +33,9 @@ int main() {
   storage::BlobStore store;
   auto landed = storage::LandTable(store, "t", schema, {samples});
 
-  reader::Reader rdr(store, landed.table,
-                     train::MakeDataLoaderConfig(model, 256, true),
-                     reader::ReaderOptions{.use_ikjt = true});
+  reader::ReaderPool rdr(store, landed.table,
+                         train::MakeDataLoaderConfig(model, 256, true),
+                         reader::ReaderOptions{.use_ikjt = true});
   const auto batch = rdr.NextBatch();
   if (!batch.has_value()) {
     std::printf("no batch produced\n");

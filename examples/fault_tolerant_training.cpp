@@ -17,7 +17,7 @@
 #include "datagen/generator.h"
 #include "datagen/presets.h"
 #include "etl/etl.h"
-#include "reader/reader.h"
+#include "reader/reader_pool.h"
 #include "storage/table.h"
 #include "train/checkpoint.h"
 #include "train/distributed.h"
@@ -43,7 +43,7 @@ int main() {
   for (const auto& f : spec.sparse) schema.sparse_names.push_back(f.name);
   storage::BlobStore store;
   auto landed = storage::LandTable(store, "t", schema, {std::move(samples)});
-  reader::Reader reader(
+  reader::ReaderPool reader(
       store, landed.table, train::MakeDataLoaderConfig(model, batch_size, true),
       reader::ReaderOptions{.use_ikjt = true});
   const auto batch = *reader.NextBatch();

@@ -19,7 +19,7 @@
 #include "datagen/presets.h"
 #include "etl/etl.h"
 #include "obs/obs.h"
-#include "reader/reader.h"
+#include "reader/reader_pool.h"
 #include "storage/table.h"
 #include "train/distributed.h"
 #include "train/model.h"
@@ -42,9 +42,9 @@ int main() {
   for (const auto& f : spec.sparse) schema.sparse_names.push_back(f.name);
   storage::BlobStore store;
   auto landed = storage::LandTable(store, "t", schema, {std::move(samples)});
-  reader::Reader reader(store, landed.table,
-                        train::MakeDataLoaderConfig(model, 64, true),
-                        reader::ReaderOptions{.use_ikjt = true});
+  reader::ReaderPool reader(store, landed.table,
+                            train::MakeDataLoaderConfig(model, 64, true),
+                            reader::ReaderOptions{.use_ikjt = true});
   const auto batch = *reader.NextBatch();
 
   obs::ObsOptions on;

@@ -7,8 +7,10 @@
 # `check.sh --tsan` instead builds the `tsan` preset (ThreadSanitizer,
 # see CMakePresets.json) and runs the concurrency-touching suites —
 # ThreadPool/Channel/Barrier, ReaderPool, the pipeline round trip, the
-# streaming pipeline, serving, and the executed distributed trainer —
-# under the race detector.
+# streaming pipeline, storage, serving (including the multi-model zoo
+# and its scheduler), the executed distributed trainer, checkpoints and
+# fault recovery, kernels, the tiered embedding store, and obs — under
+# the race detector.
 #
 # `check.sh --asan` builds the `asan` preset (AddressSanitizer) and runs
 # the *full* test suite under the memory-error detector.
@@ -55,7 +57,7 @@ run_phase() {
   fi
 }
 
-TSAN_FILTER='ThreadPool|Channel|Barrier|Collective|Distributed|EmbeddingShard|IkjtSlice|ReaderPool|PipelineRoundTrip|Scribe|Storage|ColumnFile|Stream|WindowedEtl|TrafficSource|Serve|Batcher|QueryGenerator|Checkpoint|Fault|Kernel|Embstore|Obs'
+TSAN_FILTER='ThreadPool|Channel|Barrier|Collective|Distributed|EmbeddingShard|IkjtSlice|ReaderPool|PipelineRoundTrip|Scribe|Storage|ColumnFile|ChecksumFile|Stream|WindowedEtl|TrafficSource|Serve|Batcher|QueryGenerator|MultiModelServing|Scheduler|Checkpoint|Fault|Kernel|Embstore|Obs'
 
 case "${1:-}" in
   --tsan)

@@ -104,18 +104,16 @@ void BatchConsumer::Finalize(const reader::StageTimes& times,
       values_after_ == 0 ? 1.0 : values_before_ / values_after_;
   result.reader_times = times;
   result.reader_io = io;
-  // The pool reports wall_s (its stage sums are CPU seconds across
-  // overlapping workers); the single-threaded path's total_s is already
-  // wall time. Caveat: wall_s spans construction to exhaustion, so the
-  // few iterations the trainer sim runs between batches are included —
-  // the reader keeps prefetching through them, but the metric is
+  // wall_s spans the whole scan as the consumer saw it, so the few
+  // iterations the trainer sim runs between batches are included when
+  // a threaded reader prefetches through them: the metric is
   // pipeline-as-consumed throughput, not isolated reader speed. Compare
   // rows/s across num_threads values with
   // bench_fig10_reader_breakdown's scaling section (a tight drain
   // loop), not across differently-shaped Run() configs.
-  const double reader_s = times.wall_s > 0 ? times.wall_s : times.total_s();
   result.reader_rows_per_second =
-      reader_s == 0 ? 0.0 : static_cast<double>(io.rows_read) / reader_s;
+      times.wall_s == 0 ? 0.0
+                        : static_cast<double>(io.rows_read) / times.wall_s;
 
   if (iterations_ > 0) {
     auto accum = accum_;

@@ -15,7 +15,7 @@
 #include "core/characterize.h"
 #include "datagen/generator.h"
 #include "etl/etl.h"
-#include "reader/reader.h"
+#include "reader/batch_pipeline.h"
 #include "scribe/scribe.h"
 #include "storage/table.h"
 #include "train/trainer_sim.h"
@@ -69,8 +69,9 @@ struct PipelineOptions {
   std::size_t max_trainer_batches = 4;  // iterations averaged for QPS
   /// Worker threads for every parallel stage: Scribe flush, ETL
   /// clustering/downsampling, storage stripe encode, and the reader
-  /// pool (reader::ReaderPool with this many workers). 1 = the original
-  /// single-threaded pipeline. Any value yields byte-identical sample
+  /// pool (reader::ReaderPool with this many workers). 1 = the
+  /// single-threaded pipeline, with the reader's stages run inline on
+  /// the consuming thread. Any value yields byte-identical sample
   /// data and identical non-timing PipelineResult counters — stages
   /// reassemble their outputs in scan order (docs/ARCHITECTURE.md §7).
   std::size_t num_threads = 1;

@@ -2,12 +2,26 @@
 
 #include <span>
 #include <string>
+#include <utility>
 
+#include "common/stopwatch.h"
+#include "obs/trace.h"
 #include "reader/transforms.h"
 #include "tensor/ikjt.h"
 #include "tensor/partial_ikjt.h"
 
 namespace recd::reader {
+
+std::vector<datagen::Sample> TakeRows(std::deque<datagen::Sample>& buffer,
+                                     std::size_t take) {
+  std::vector<datagen::Sample> rows;
+  rows.reserve(take);
+  for (std::size_t i = 0; i < take; ++i) {
+    rows.push_back(std::move(buffer.front()));
+    buffer.pop_front();
+  }
+  return rows;
+}
 
 BatchPipeline::BatchPipeline(const storage::StorageSchema& schema,
                              const DataLoaderConfig& config, bool use_ikjt)
@@ -135,6 +149,32 @@ std::size_t BatchPipeline::Process(PreprocessedBatch& batch) const {
     }
   }
   return elements;
+}
+
+PreprocessedBatch BatchPipeline::ConvertAndProcess(
+    std::vector<datagen::Sample> rows, StageTimes& times,
+    ReaderIoStats& io) const {
+  common::Stopwatch convert_sw;
+  convert_sw.Start();
+  PreprocessedBatch batch = [&] {
+    RECD_TRACE_SCOPE("reader/convert");
+    return Convert(std::move(rows));
+  }();
+  convert_sw.Stop();
+  times.convert_s += convert_sw.seconds();
+
+  common::Stopwatch process_sw;
+  process_sw.Start();
+  {
+    RECD_TRACE_SCOPE("reader/process");
+    io.sparse_elements_processed += Process(batch);
+  }
+  process_sw.Stop();
+  times.process_s += process_sw.seconds();
+
+  io.bytes_sent += batch.WireBytes();
+  io.batches_produced += 1;
+  return batch;
 }
 
 }  // namespace recd::reader

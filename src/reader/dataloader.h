@@ -33,10 +33,12 @@ struct DataLoaderConfig {
 
   /// Reader workers feeding this loader (the DPP-style reader fleet;
   /// Zhao et al., "Understanding Data Storage and Ingestion for
-  /// Large-Scale Deep Recommendation Model Training"). 1 keeps the
-  /// single-threaded scan; N > 1 makes reader::ReaderPool run N
-  /// parallel Fill workers and N Convert/Process workers with ordered
-  /// reassembly, so the batch stream is byte-identical for any N.
+  /// Large-Scale Deep Recommendation Model Training"). 1 makes
+  /// reader::ReaderPool run its stages inline on the caller's thread, no
+  /// threads spawned; N > 1 runs N parallel Fill workers and N
+  /// Convert/Process workers with ordered reassembly. Both drivers call
+  /// the same stage functions, so the batch stream is byte-identical for
+  /// any N.
   std::size_t num_workers = 1;
 
   /// Include dense features / labels in the batch.

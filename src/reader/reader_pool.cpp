@@ -1,7 +1,6 @@
 #include "reader/reader_pool.h"
 
 #include <algorithm>
-#include <deque>
 #include <stdexcept>
 #include <utility>
 
@@ -13,27 +12,20 @@ namespace recd::reader {
 ReaderPool::ReaderPool(storage::BlobStore& store,
                        const storage::Table& table, DataLoaderConfig config,
                        ReaderOptions options)
-    : store_(&store),
-      table_(&table),
+    : table_(&table),
       config_(std::move(config)),
-      options_(options),
-      workers_(std::max<std::size_t>(1, config_.num_workers)) {
+      workers_(std::max<std::size_t>(1, config_.num_workers)),
+      projection_(BatchPipeline::BuildProjection(table_->schema, config_)),
+      pipeline_(table_->schema, config_, options.use_ikjt) {
   if (config_.batch_size == 0) {
     throw std::invalid_argument("ReaderPool: batch_size must be positive");
   }
-  if (workers_ <= 1) {
-    single_.emplace(store, table, std::move(config_), options_);
-    return;
-  }
-
-  projection_ = BatchPipeline::BuildProjection(table_->schema, config_);
-  pipeline_.emplace(table_->schema, config_, options_.use_ikjt);
 
   // Scan plan: open every file up front (footers only) and list stripes
   // in scan order. Ticket seq == position in this plan.
   for (const auto& partition : table_->partitions) {
     for (const auto& name : partition.files) {
-      files_.emplace_back(*store_, name);
+      files_.emplace_back(store, name);
       const std::size_t f = files_.size() - 1;
       bytes_read_.Add(static_cast<std::int64_t>(files_[f].open_bytes()));
       for (std::size_t s = 0; s < files_[f].num_stripes(); ++s) {
@@ -41,12 +33,11 @@ ReaderPool::ReaderPool(storage::BlobStore& store,
       }
     }
   }
+  if (workers_ <= 1) return;
 
   stripe_channel_.emplace(std::max<std::size_t>(2, workers_));
   task_channel_.emplace(2 * workers_);
-  batch_channel_.emplace(options_.prefetch_batches > 0
-                             ? options_.prefetch_batches
-                             : 2 * workers_);
+  batch_channel_.emplace(2 * workers_);
 
   fill_live_.store(workers_);
   convert_live_.store(workers_);
@@ -62,7 +53,7 @@ ReaderPool::ReaderPool(storage::BlobStore& store,
 }
 
 ReaderPool::~ReaderPool() {
-  if (single_.has_value()) return;
+  if (workers_ <= 1) return;
   // Unblock every stage; workers observe the closed channels and exit.
   stripe_channel_->Close();
   task_channel_->Close();
@@ -80,30 +71,69 @@ void ReaderPool::Fail(std::exception_ptr error) {
   batch_channel_->Close();
 }
 
-void ReaderPool::FillWorker() {
+std::vector<datagen::Sample> ReaderPool::FillStripe(std::size_t seq,
+                                                    StageTimes& times,
+                                                    ReaderIoStats& io) const {
+  // Fill (paper §6.3: "fetching data from Tectonic and decrypting,
+  // decompressing, and decoding bytes to form rows"); Convert starts
+  // when rows become tensors.
+  RECD_TRACE_SCOPE("reader/fill");
   common::Stopwatch sw;
-  ReaderIoStats local;
+  sw.Start();
+  const auto& ref = plan_[seq];
+  const auto& file = files_[ref.file];
+  io.bytes_read += file.StripeBytes(ref.stripe, projection_);
+  auto raw = file.FetchStripe(ref.stripe, projection_);
+  io.rows_read += raw.num_rows;
+  auto rows = storage::DecodeRawStripe(table_->schema, raw, projection_);
+  sw.Stop();
+  times.fill_s += sw.seconds();
+  return rows;
+}
+
+void ReaderPool::AddIo(const ReaderIoStats& io) {
+  const auto add = [](obs::Counter& c, std::size_t v) {
+    c.Add(static_cast<std::int64_t>(v));
+  };
+  add(bytes_read_, io.bytes_read);
+  add(bytes_sent_, io.bytes_sent);
+  add(rows_read_, io.rows_read);
+  add(batches_produced_, io.batches_produced);
+  add(sparse_elements_processed_, io.sparse_elements_processed);
+}
+
+std::optional<PreprocessedBatch> ReaderPool::NextBatchInline() {
+  ReaderIoStats io;
+  while (buffer_.size() < config_.batch_size &&
+         next_stripe_ < plan_.size()) {
+    for (auto& row : FillStripe(next_stripe_++, times_, io)) {
+      buffer_.push_back(std::move(row));
+    }
+  }
+  std::optional<PreprocessedBatch> batch;
+  if (!buffer_.empty()) {
+    const std::size_t take = std::min(buffer_.size(), config_.batch_size);
+    batch = pipeline_.ConvertAndProcess(TakeRows(buffer_, take), times_, io);
+  }
+  AddIo(io);
+  // One thread runs the stages back to back: their sum is the wall time.
+  times_.wall_s = times_.total_s();
+  return batch;
+}
+
+void ReaderPool::FillWorker() {
+  StageTimes times;
+  ReaderIoStats io;
   try {
     for (;;) {
       const std::size_t seq =
           next_stripe_.fetch_add(1, std::memory_order_relaxed);
       if (seq >= plan_.size()) break;
-      const auto& ref = plan_[seq];
-      // Fill (paper Fig 5): fetch + decrypt + decompress + decode. The
-      // stopwatch brackets the work, not the channel wait, so fill_s
-      // counts CPU seconds the way the single-threaded Reader does.
-      RECD_TRACE_SCOPE("reader/fill");
-      sw.Start();
-      const auto& file = files_[ref.file];
-      local.bytes_read += file.StripeBytes(ref.stripe, projection_);
-      auto raw = file.FetchStripe(ref.stripe, projection_);
-      local.rows_read += raw.num_rows;
-      auto rows =
-          storage::DecodeRawStripe(table_->schema, raw, projection_);
-      sw.Stop();
+      // The stage timer brackets the work, not the channel wait, so
+      // fill_s counts CPU seconds the way the inline driver does.
       StripeRows out;
       out.seq = seq;
-      out.rows = std::move(rows);
+      out.rows = FillStripe(seq, times, io);
       if (!stripe_channel_->Push(std::move(out))) break;  // shutdown
     }
   } catch (...) {
@@ -111,17 +141,16 @@ void ReaderPool::FillWorker() {
   }
   {
     std::lock_guard<std::mutex> lock(stats_mutex_);
-    times_.fill_s += sw.seconds();
+    times_.fill_s += times.fill_s;
   }
-  bytes_read_.Add(static_cast<std::int64_t>(local.bytes_read));
-  rows_read_.Add(static_cast<std::int64_t>(local.rows_read));
+  AddIo(io);
   if (fill_live_.fetch_sub(1) == 1) stripe_channel_->Close();
 }
 
 void ReaderPool::AssemblerLoop() {
   // Reassemble stripes in ticket order, accumulate rows, and cut
-  // batch_size runs — exactly the batch boundaries the single-threaded
-  // Reader produces. Cheap (moves only), so one thread suffices.
+  // batch_size runs — exactly the batch boundaries the inline driver
+  // produces. Cheap (moves only), so one thread suffices.
   std::map<std::size_t, std::vector<datagen::Sample>> pending;
   std::size_t next_seq = 0;
   std::deque<datagen::Sample> buffer;
@@ -131,11 +160,7 @@ void ReaderPool::AssemblerLoop() {
   const auto emit = [&](std::size_t take) {
     BatchTask task;
     task.seq = batch_seq++;
-    task.rows.reserve(take);
-    for (std::size_t i = 0; i < take; ++i) {
-      task.rows.push_back(std::move(buffer.front()));
-      buffer.pop_front();
-    }
+    task.rows = TakeRows(buffer, take);
     if (!task_channel_->Push(std::move(task))) aborted = true;
   };
 
@@ -154,36 +179,22 @@ void ReaderPool::AssemblerLoop() {
       }
     }
   }
-  // Final partial batch (same as Reader: emitted once the scan ends).
+  // Final partial batch, emitted once the scan ends.
   if (!aborted && !buffer.empty()) emit(buffer.size());
   task_channel_->Close();
 }
 
 void ReaderPool::ConvertWorker() {
-  common::Stopwatch convert_sw;
-  common::Stopwatch process_sw;
-  ReaderIoStats local;
+  StageTimes times;
+  ReaderIoStats io;
   try {
     for (;;) {
       auto task = task_channel_->Pop();
       if (!task.has_value()) break;
-      convert_sw.Start();
-      PreprocessedBatch batch = [&] {
-        RECD_TRACE_SCOPE("reader/convert");
-        return pipeline_->Convert(std::move(task->rows));
-      }();
-      convert_sw.Stop();
-      process_sw.Start();
-      {
-        RECD_TRACE_SCOPE("reader/process");
-        local.sparse_elements_processed += pipeline_->Process(batch);
-      }
-      process_sw.Stop();
-      local.bytes_sent += batch.WireBytes();
-      local.batches_produced += 1;
       BatchOut out;
       out.seq = task->seq;
-      out.batch = std::move(batch);
+      out.batch =
+          pipeline_.ConvertAndProcess(std::move(task->rows), times, io);
       if (!batch_channel_->Push(std::move(out))) break;  // shutdown
     }
   } catch (...) {
@@ -191,18 +202,15 @@ void ReaderPool::ConvertWorker() {
   }
   {
     std::lock_guard<std::mutex> lock(stats_mutex_);
-    times_.convert_s += convert_sw.seconds();
-    times_.process_s += process_sw.seconds();
+    times_.convert_s += times.convert_s;
+    times_.process_s += times.process_s;
   }
-  sparse_elements_processed_.Add(
-      static_cast<std::int64_t>(local.sparse_elements_processed));
-  bytes_sent_.Add(static_cast<std::int64_t>(local.bytes_sent));
-  batches_produced_.Add(static_cast<std::int64_t>(local.batches_produced));
+  AddIo(io);
   if (convert_live_.fetch_sub(1) == 1) batch_channel_->Close();
 }
 
 std::optional<PreprocessedBatch> ReaderPool::NextBatch() {
-  if (single_.has_value()) return single_->NextBatch();
+  if (workers_ <= 1) return NextBatchInline();
   for (;;) {
     {
       std::lock_guard<std::mutex> lock(error_mutex_);
@@ -235,12 +243,7 @@ std::optional<PreprocessedBatch> ReaderPool::NextBatch() {
   }
 }
 
-const StageTimes& ReaderPool::times() const {
-  return single_.has_value() ? single_->times() : times_;
-}
-
 ReaderIoStats ReaderPool::io() const {
-  if (single_.has_value()) return single_->io();
   const auto u = [](const obs::Counter& c) {
     return static_cast<std::size_t>(c.Value());
   };
@@ -251,10 +254,6 @@ ReaderIoStats ReaderPool::io() const {
   io.batches_produced = u(batches_produced_);
   io.sparse_elements_processed = u(sparse_elements_processed_);
   return io;
-}
-
-const obs::Registry& ReaderPool::metrics() const {
-  return single_.has_value() ? single_->metrics() : metrics_;
 }
 
 }  // namespace recd::reader

@@ -15,9 +15,8 @@ TailingReader::TailingReader(storage::BlobStore& store,
     : store_(&store),
       schema_(std::move(schema)),
       config_(std::move(config)),
-      options_(options),
       projection_(reader::BatchPipeline::BuildProjection(schema_, config_)),
-      pipeline_(schema_, config_, options_.use_ikjt),
+      pipeline_(schema_, config_, options.use_ikjt),
       pool_(pool),
       sink_(std::move(sink)) {
   if (config_.batch_size == 0) {
@@ -75,26 +74,8 @@ bool TailingReader::Finish() {
 }
 
 bool TailingReader::EmitBatch(std::size_t take) {
-  std::vector<datagen::Sample> rows;
-  rows.reserve(take);
-  for (std::size_t i = 0; i < take; ++i) {
-    rows.push_back(std::move(buffer_.front()));
-    buffer_.pop_front();
-  }
-  common::Stopwatch convert_sw;
-  convert_sw.Start();
-  reader::PreprocessedBatch batch = pipeline_.Convert(std::move(rows));
-  convert_sw.Stop();
-  times_.convert_s += convert_sw.seconds();
-
-  common::Stopwatch process_sw;
-  process_sw.Start();
-  io_.sparse_elements_processed += pipeline_.Process(batch);
-  process_sw.Stop();
-  times_.process_s += process_sw.seconds();
-
-  io_.bytes_sent += batch.WireBytes();
-  io_.batches_produced += 1;
+  auto batch = pipeline_.ConvertAndProcess(reader::TakeRows(buffer_, take),
+                                           times_, io_);
   return sink_ ? sink_(std::move(batch)) : true;
 }
 

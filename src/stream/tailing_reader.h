@@ -9,8 +9,9 @@
 // Training"). TailingReader runs the same Fig-5 stages over each
 // arriving window: Fill (open the new files, fetch + decrypt +
 // decompress + decode their stripes — pool-parallel with ordered
-// reassembly), then batch cutting, Convert, and Process through the
-// shared reader::BatchPipeline.
+// reassembly), then batch cutting, then Convert and Process through
+// reader::BatchPipeline::ConvertAndProcess, the function every reader
+// driver emits its batches through (same spans, timers and io counts).
 //
 // Batch cutting is continuous across windows: leftover rows from one
 // window wait for the next (exactly as the batch reader carries rows
@@ -31,7 +32,6 @@
 #include "reader/batch.h"
 #include "reader/batch_pipeline.h"
 #include "reader/dataloader.h"
-#include "reader/reader.h"
 #include "storage/blob_store.h"
 #include "storage/column_file.h"
 #include "stream/windowed_etl.h"
@@ -68,17 +68,19 @@ class TailingReader {
   /// End of stream: emits the final partial batch, if any.
   bool Finish();
 
-  /// Aggregated stage times; wall_s spans construction → Finish.
+  /// Aggregated stage times; wall_s spans construction → Finish (so
+  /// it is final only once Finish has run).
   [[nodiscard]] const reader::StageTimes& times() const { return times_; }
   [[nodiscard]] const reader::ReaderIoStats& io() const { return io_; }
 
  private:
+  /// Converts and processes the first `take` buffered rows and hands
+  /// the batch to the sink.
   bool EmitBatch(std::size_t take);
 
   storage::BlobStore* store_;
   storage::StorageSchema schema_;
   reader::DataLoaderConfig config_;
-  reader::ReaderOptions options_;
   storage::ReadProjection projection_;
   reader::BatchPipeline pipeline_;
   common::ThreadPool* pool_;

@@ -19,7 +19,7 @@
 #include "datagen/generator.h"
 #include "datagen/presets.h"
 #include "etl/etl.h"
-#include "reader/reader.h"
+#include "reader/reader_pool.h"
 #include "storage/table.h"
 #include "train/checkpoint.h"
 #include "train/distributed.h"
@@ -162,12 +162,12 @@ Fixture MakeFixture(std::size_t batch_size = 64) {
       storage::LandTable(fx.store, "t", schema, {std::move(samples)});
   fx.table = std::move(landed.table);
 
-  reader::Reader recd(fx.store, fx.table,
-                      MakeDataLoaderConfig(fx.model, batch_size, true),
-                      reader::ReaderOptions{.use_ikjt = true});
-  reader::Reader base(fx.store, fx.table,
-                      MakeDataLoaderConfig(fx.model, batch_size, false),
-                      reader::ReaderOptions{.use_ikjt = false});
+  reader::ReaderPool recd(fx.store, fx.table,
+                          MakeDataLoaderConfig(fx.model, batch_size, true),
+                          reader::ReaderOptions{.use_ikjt = true});
+  reader::ReaderPool base(fx.store, fx.table,
+                          MakeDataLoaderConfig(fx.model, batch_size, false),
+                          reader::ReaderOptions{.use_ikjt = false});
   fx.recd_batch = *recd.NextBatch();
   fx.base_batch = *base.NextBatch();
   return fx;

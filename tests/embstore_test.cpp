@@ -29,7 +29,7 @@
 #include "embstore/tiered_store.h"
 #include "etl/etl.h"
 #include "nn/embedding.h"
-#include "reader/reader.h"
+#include "reader/reader_pool.h"
 #include "serve/server_runner.h"
 #include "storage/table.h"
 #include "tensor/jagged.h"
@@ -644,12 +644,12 @@ Fixture MakeFixture(std::size_t batch_size = 48) {
       storage::LandTable(fx.store, "t", schema, {std::move(samples)});
   fx.table = std::move(landed.table);
 
-  reader::Reader recd(fx.store, fx.table,
-                      MakeDataLoaderConfig(fx.model, batch_size, true),
-                      reader::ReaderOptions{.use_ikjt = true});
-  reader::Reader base(fx.store, fx.table,
-                      MakeDataLoaderConfig(fx.model, batch_size, false),
-                      reader::ReaderOptions{.use_ikjt = false});
+  reader::ReaderPool recd(fx.store, fx.table,
+                          MakeDataLoaderConfig(fx.model, batch_size, true),
+                          reader::ReaderOptions{.use_ikjt = true});
+  reader::ReaderPool base(fx.store, fx.table,
+                          MakeDataLoaderConfig(fx.model, batch_size, false),
+                          reader::ReaderOptions{.use_ikjt = false});
   fx.recd_batch = *recd.NextBatch();
   fx.base_batch = *base.NextBatch();
   return fx;

@@ -9,7 +9,7 @@
 #include "datagen/generator.h"
 #include "datagen/presets.h"
 #include "etl/etl.h"
-#include "reader/reader.h"
+#include "reader/reader_pool.h"
 #include "scribe/scribe.h"
 #include "storage/table.h"
 #include "train/model.h"
@@ -49,8 +49,8 @@ TEST(IntegrationTest, DataSurvivesEveryPipelineStage) {
   for (const auto& name : schema.sparse_names) {
     config.sparse_features.push_back(name);
   }
-  reader::Reader rdr(store, landed.table, config,
-                     reader::ReaderOptions{.use_ikjt = false});
+  reader::ReaderPool rdr(store, landed.table, config,
+                         reader::ReaderOptions{.use_ikjt = false});
   std::unordered_map<std::int64_t, const datagen::FeatureLog*> originals;
   for (const auto& f : traffic.features) originals[f.request_id] = &f;
 
@@ -97,10 +97,10 @@ TEST(IntegrationTest, TrainingIsIdenticalOnRecdAndBaselineBatches) {
   storage::BlobStore store;
   auto landed = storage::LandTable(store, "t", schema, {samples});
 
-  reader::Reader recd_reader(
+  reader::ReaderPool recd_reader(
       store, landed.table, train::MakeDataLoaderConfig(model, 128, true),
       reader::ReaderOptions{.use_ikjt = true});
-  reader::Reader base_reader(
+  reader::ReaderPool base_reader(
       store, landed.table, train::MakeDataLoaderConfig(model, 128, false),
       reader::ReaderOptions{.use_ikjt = false});
 
@@ -145,15 +145,15 @@ TEST(IntegrationTest, ClusteredTrainingGeneralizesAtLeastAsWell) {
   auto run_training = [&](const std::vector<datagen::Sample>& train_set) {
     storage::BlobStore store;
     auto landed = storage::LandTable(store, "t", schema, {train_set});
-    reader::Reader rdr(store, landed.table,
-                       train::MakeDataLoaderConfig(model, 128, true),
-                       reader::ReaderOptions{.use_ikjt = true});
+    reader::ReaderPool rdr(store, landed.table,
+                           train::MakeDataLoaderConfig(model, 128, true),
+                           reader::ReaderOptions{.use_ikjt = true});
     train::ReferenceDlrm dlrm(model, 4242);
     for (int epoch = 0; epoch < 2; ++epoch) {
       storage::BlobStore epoch_store;
       auto epoch_landed =
           storage::LandTable(epoch_store, "t", schema, {train_set});
-      reader::Reader epoch_reader(
+      reader::ReaderPool epoch_reader(
           epoch_store, epoch_landed.table,
           train::MakeDataLoaderConfig(model, 128, true),
           reader::ReaderOptions{.use_ikjt = true});
@@ -165,7 +165,7 @@ TEST(IntegrationTest, ClusteredTrainingGeneralizesAtLeastAsWell) {
     storage::BlobStore eval_store;
     auto eval_landed =
         storage::LandTable(eval_store, "e", schema, {eval_set});
-    reader::Reader eval_reader(
+    reader::ReaderPool eval_reader(
         eval_store, eval_landed.table,
         train::MakeDataLoaderConfig(model, 128, true),
         reader::ReaderOptions{.use_ikjt = true});

@@ -24,7 +24,7 @@
 #include "nn/interaction.h"
 #include "nn/loss.h"
 #include "nn/mlp.h"
-#include "reader/reader.h"
+#include "reader/reader_pool.h"
 #include "storage/table.h"
 #include "tensor/jagged_ops.h"
 #include "train/model.h"
@@ -743,7 +743,7 @@ TEST(KernelModelParityTest, ReferenceDlrmTrainStepsBitwiseAcrossBackends) {
       storage::LandTable(store, "t", schema, {std::move(samples)});
 
   for (const bool use_ikjt : {false, true}) {
-    reader::Reader reader(
+    reader::ReaderPool reader(
         store, landed.table,
         train::MakeDataLoaderConfig(model, 48, use_ikjt),
         reader::ReaderOptions{.use_ikjt = use_ikjt});

@@ -21,7 +21,7 @@
 #include "obs/metrics.h"
 #include "obs/obs.h"
 #include "obs/trace.h"
-#include "reader/reader.h"
+#include "reader/reader_pool.h"
 #include "serve/server_runner.h"
 #include "storage/table.h"
 #include "train/distributed.h"
@@ -328,9 +328,9 @@ TrainFixture MakeTrainFixture() {
   auto landed =
       storage::LandTable(fx.store, "t", schema, {std::move(samples)});
   fx.table = std::move(landed.table);
-  reader::Reader rd(fx.store, fx.table,
-                    train::MakeDataLoaderConfig(fx.model, 64, true),
-                    reader::ReaderOptions{.use_ikjt = true});
+  reader::ReaderPool rd(fx.store, fx.table,
+                        train::MakeDataLoaderConfig(fx.model, 64, true),
+                        reader::ReaderOptions{.use_ikjt = true});
   fx.batch = *rd.NextBatch();
   return fx;
 }

@@ -1,18 +1,19 @@
-// ReaderPool determinism tests: the parallel reader must produce the
-// byte-identical batch stream — same batches, same order, same values,
-// same io() counters — as the single-threaded Reader, for any worker
-// count (the ordered-reassembly rule of docs/ARCHITECTURE.md §7).
+// ReaderPool determinism tests: the pool must produce the byte-identical
+// batch stream — same batches, same order, same values, same io()
+// counters — for any worker count, inline (1 worker) or threaded (the
+// ordered-reassembly rule of docs/ARCHITECTURE.md §7).
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstring>
 #include <map>
 #include <string>
 #include <vector>
 
+#include "common/hash.h"
 #include "datagen/generator.h"
 #include "datagen/presets.h"
 #include "etl/etl.h"
-#include "reader/reader.h"
 #include "reader/reader_pool.h"
 #include "storage/blob_store.h"
 #include "storage/table.h"
@@ -126,8 +127,7 @@ struct Stream {
   ReaderIoStats io;
 };
 
-template <typename Rdr>
-Stream Drain(Rdr& rdr) {
+Stream Drain(ReaderPool& rdr) {
   Stream s;
   while (auto batch = rdr.NextBatch()) {
     s.batches.push_back(Fingerprint(*batch));
@@ -136,20 +136,36 @@ Stream Drain(Rdr& rdr) {
   return s;
 }
 
-TEST(ReaderPoolTest, OneWorkerMatchesPlainReader) {
-  auto fixture = MakeFixture();
-  Reader plain(fixture.store, fixture.table,
-               MakeLoader(fixture.model, 1));
-  const auto plain_stream = Drain(plain);
+/// One number for a whole stream: every batch fingerprint, then the
+/// five io() counters, folded in order with common::HashCombine.
+std::uint64_t Digest(const Stream& s) {
+  std::uint64_t h = 0;
+  for (const auto& batch : s.batches) {
+    h = common::HashCombine(h, common::HashString(batch));
+  }
+  for (const std::size_t counter :
+       {s.io.bytes_read, s.io.bytes_sent, s.io.rows_read,
+        s.io.batches_produced, s.io.sparse_elements_processed}) {
+    h = common::HashCombine(h, counter);
+  }
+  return h;
+}
 
-  auto pool_fixture = MakeFixture();
-  ReaderPool pool(pool_fixture.store, pool_fixture.table,
-                  MakeLoader(pool_fixture.model, 1));
-  EXPECT_EQ(pool.num_workers(), 1u);
-  const auto pool_stream = Drain(pool);
-
-  ASSERT_FALSE(plain_stream.batches.empty());
-  EXPECT_EQ(plain_stream.batches, pool_stream.batches);
+TEST(ReaderPoolTest, StreamMatchesGoldenDigest) {
+  // The digest of the stream that the retired single-threaded reader
+  // class delivered on this fixture, recorded before it was removed:
+  // ReaderPool reproduces it at every worker count, inline or threaded.
+  constexpr std::uint64_t kGolden = 0x07d3d6127aab82adULL;
+  for (const std::size_t workers : {1u, 2u, 8u}) {
+    auto fixture = MakeFixture();
+    ReaderPool pool(fixture.store, fixture.table,
+                    MakeLoader(fixture.model, workers));
+    EXPECT_EQ(pool.num_workers(), workers);
+    const auto stream = Drain(pool);
+    EXPECT_EQ(stream.batches.size(), 16u) << workers << " workers";
+    EXPECT_EQ(stream.io.rows_read, 3'000u) << workers << " workers";
+    EXPECT_EQ(Digest(stream), kGolden) << workers << " workers";
+  }
 }
 
 TEST(ReaderPoolTest, WorkerCountDoesNotChangeTheBatchStream) {
@@ -217,20 +233,25 @@ TEST(ReaderPoolTest, AbandoningTheStreamShutsDownCleanly) {
 
 TEST(ReaderPoolTest, UnknownFeatureThrowsUpFront) {
   auto fixture = MakeFixture(/*num_samples=*/500);
-  auto loader = MakeLoader(fixture.model, 2);
-  loader.sparse_features.push_back("no_such_feature");
-  EXPECT_THROW(ReaderPool(fixture.store, fixture.table, loader),
-               std::out_of_range);
+  for (const std::size_t workers : {1u, 2u}) {
+    auto loader = MakeLoader(fixture.model, workers);
+    loader.sparse_features.push_back("no_such_feature");
+    EXPECT_THROW(ReaderPool(fixture.store, fixture.table, loader),
+                 std::out_of_range)
+        << workers << " workers";
+  }
 }
 
 TEST(ReaderPoolTest, WallClockIsRecorded) {
-  auto fixture = MakeFixture(/*num_samples=*/1'000);
-  ReaderPool pool(fixture.store, fixture.table,
-                  MakeLoader(fixture.model, 2));
-  while (pool.NextBatch().has_value()) {
+  for (const std::size_t workers : {1u, 2u}) {
+    auto fixture = MakeFixture(/*num_samples=*/1'000);
+    ReaderPool pool(fixture.store, fixture.table,
+                    MakeLoader(fixture.model, workers));
+    while (pool.NextBatch().has_value()) {
+    }
+    EXPECT_GT(pool.times().wall_s, 0.0) << workers << " workers";
+    EXPECT_GT(pool.times().total_s(), 0.0) << workers << " workers";
   }
-  EXPECT_GT(pool.times().wall_s, 0.0);
-  EXPECT_GT(pool.times().total_s(), 0.0);
 }
 
 }  // namespace

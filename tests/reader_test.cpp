@@ -1,13 +1,18 @@
-// Tests for the reader tier: Fill/Convert/Process, IKJT conversion (O3),
-// deduplicated preprocessing (O4), byte accounting, and — critically —
-// logical equivalence between the RecD and baseline reader outputs.
+// Tests for the reader tier (reader::ReaderPool, at its default one
+// worker unless a test says otherwise): Fill/Convert/Process, IKJT
+// conversion (O3), deduplicated preprocessing (O4), byte accounting, and
+// — critically — logical equivalence between the RecD and baseline
+// reader outputs.
 #include <gtest/gtest.h>
+
+#include <ostream>
+#include <vector>
 
 #include "datagen/generator.h"
 #include "reader/reader_tier.h"
 #include "datagen/presets.h"
 #include "etl/etl.h"
-#include "reader/reader.h"
+#include "reader/reader_pool.h"
 #include "storage/table.h"
 #include "train/model.h"
 #include "train/reference.h"
@@ -51,7 +56,7 @@ DataLoaderConfig SmallConfig(const Fixture& fx, std::size_t batch_size,
 
 TEST(ReaderTest, BatchesCoverDatasetExactlyOnce) {
   auto fx = MakeFixture(600, true);
-  Reader rdr(fx.store, fx.table, SmallConfig(fx, 128, true));
+  ReaderPool rdr(fx.store, fx.table, SmallConfig(fx, 128, true));
   std::size_t rows = 0;
   std::size_t batches = 0;
   while (auto batch = rdr.NextBatch()) {
@@ -69,19 +74,12 @@ TEST(ReaderTest, ZeroBatchSizeThrows) {
   auto fx = MakeFixture(10, true);
   auto config = SmallConfig(fx, 1, true);
   config.batch_size = 0;
-  EXPECT_THROW(Reader(fx.store, fx.table, config), std::invalid_argument);
-}
-
-TEST(ReaderTest, UnknownFeatureThrows) {
-  auto fx = MakeFixture(10, true);
-  auto config = SmallConfig(fx, 4, true);
-  config.sparse_features.push_back("not_a_feature");
-  EXPECT_THROW(Reader(fx.store, fx.table, config), std::out_of_range);
+  EXPECT_THROW(ReaderPool(fx.store, fx.table, config), std::invalid_argument);
 }
 
 TEST(ReaderTest, BatchCarriesLabelsDenseAndSessions) {
   auto fx = MakeFixture(256, true);
-  Reader rdr(fx.store, fx.table, SmallConfig(fx, 64, true));
+  ReaderPool rdr(fx.store, fx.table, SmallConfig(fx, 64, true));
   auto batch = rdr.NextBatch();
   ASSERT_TRUE(batch.has_value());
   EXPECT_EQ(batch->labels.size(), 64u);
@@ -97,10 +95,10 @@ TEST(ReaderTest, RecdAndBaselineBatchesAreLogicallyIdentical) {
   // The central O3 correctness property: IKJT batches expand to exactly
   // the KJT batches the baseline produces.
   auto fx = MakeFixture(384, true);
-  Reader recd(fx.store, fx.table, SmallConfig(fx, 96, true),
-              ReaderOptions{.use_ikjt = true});
-  Reader base(fx.store, fx.table, SmallConfig(fx, 96, false),
-              ReaderOptions{.use_ikjt = false});
+  ReaderPool recd(fx.store, fx.table, SmallConfig(fx, 96, true),
+                  ReaderOptions{.use_ikjt = true});
+  ReaderPool base(fx.store, fx.table, SmallConfig(fx, 96, false),
+                  ReaderOptions{.use_ikjt = false});
   while (true) {
     auto rb = recd.NextBatch();
     auto bb = base.NextBatch();
@@ -126,7 +124,7 @@ TEST(ReaderTest, RecdAndBaselineBatchesAreLogicallyIdentical) {
 
 TEST(ReaderTest, DedupStatsReportCompressionOnClusteredData) {
   auto fx = MakeFixture(512, /*clustered=*/true);
-  Reader rdr(fx.store, fx.table, SmallConfig(fx, 256, true));
+  ReaderPool rdr(fx.store, fx.table, SmallConfig(fx, 256, true));
   auto batch = rdr.NextBatch();
   ASSERT_TRUE(batch.has_value());
   ASSERT_FALSE(batch->group_stats.empty());
@@ -148,7 +146,7 @@ TEST(ReaderTest, InterleavedDataDeduplicatesFarWorseThanClustered) {
       MakeFixture(512, /*clustered=*/false, 0.05, /*concurrent=*/2048);
   auto clustered = MakeFixture(512, /*clustered=*/true, 0.05);
   auto factor_of = [](Fixture& fx) {
-    Reader rdr(fx.store, fx.table, SmallConfig(fx, 256, true));
+    ReaderPool rdr(fx.store, fx.table, SmallConfig(fx, 256, true));
     auto batch = rdr.NextBatch();
     EXPECT_TRUE(batch.has_value());
     double before = 0;
@@ -167,10 +165,10 @@ TEST(ReaderTest, InterleavedDataDeduplicatesFarWorseThanClustered) {
 
 TEST(ReaderTest, IkjtOutputShrinksSendBytes) {
   auto fx = MakeFixture(512, true);
-  Reader recd(fx.store, fx.table, SmallConfig(fx, 256, true),
-              ReaderOptions{.use_ikjt = true});
-  Reader base(fx.store, fx.table, SmallConfig(fx, 256, false),
-              ReaderOptions{.use_ikjt = false});
+  ReaderPool recd(fx.store, fx.table, SmallConfig(fx, 256, true),
+                  ReaderOptions{.use_ikjt = true});
+  ReaderPool base(fx.store, fx.table, SmallConfig(fx, 256, false),
+                  ReaderOptions{.use_ikjt = false});
   while (recd.NextBatch().has_value()) {
   }
   while (base.NextBatch().has_value()) {
@@ -189,10 +187,10 @@ TEST(ReaderTest, SparseTransformsProduceIdenticalResultsBothPaths) {
                                 0};
   config_recd.transforms.push_back(hash_spec);
   config_base.transforms.push_back(hash_spec);
-  Reader recd(fx.store, fx.table, config_recd,
-              ReaderOptions{.use_ikjt = true});
-  Reader base(fx.store, fx.table, config_base,
-              ReaderOptions{.use_ikjt = false});
+  ReaderPool recd(fx.store, fx.table, config_recd,
+                  ReaderOptions{.use_ikjt = true});
+  ReaderPool base(fx.store, fx.table, config_base,
+                  ReaderOptions{.use_ikjt = false});
   auto rb = recd.NextBatch();
   auto bb = base.NextBatch();
   ASSERT_TRUE(rb.has_value() && bb.has_value());
@@ -207,7 +205,7 @@ TEST(ReaderTest, DenseTransformsApply) {
   auto config = SmallConfig(fx, 64, true);
   config.transforms.push_back(
       {TransformKind::kDenseClamp, "", 0.0, 0.0});  // clamp all to 0
-  Reader rdr(fx.store, fx.table, config);
+  ReaderPool rdr(fx.store, fx.table, config);
   auto batch = rdr.NextBatch();
   ASSERT_TRUE(batch.has_value());
   for (const float v : batch->dense) EXPECT_EQ(v, 0.0f);
@@ -215,7 +213,7 @@ TEST(ReaderTest, DenseTransformsApply) {
 
 TEST(ReaderTest, StageTimesAccumulate) {
   auto fx = MakeFixture(300, true);
-  Reader rdr(fx.store, fx.table, SmallConfig(fx, 100, true));
+  ReaderPool rdr(fx.store, fx.table, SmallConfig(fx, 100, true));
   while (rdr.NextBatch().has_value()) {
   }
   EXPECT_GT(rdr.times().fill_s, 0.0);
@@ -231,10 +229,10 @@ TEST(ReaderTest, ReadsOnlyProjectedColumns) {
   narrow.batch_size = 200;
   narrow.dense = false;
   narrow.sparse_features = {fx.spec.sparse[0].name};
-  Reader narrow_reader(fx.store, fx.table, narrow);
+  ReaderPool narrow_reader(fx.store, fx.table, narrow);
   while (narrow_reader.NextBatch().has_value()) {
   }
-  Reader full_reader(fx.store, fx.table, SmallConfig(fx, 200, true));
+  ReaderPool full_reader(fx.store, fx.table, SmallConfig(fx, 200, true));
   while (full_reader.NextBatch().has_value()) {
   }
   EXPECT_LT(narrow_reader.io().bytes_read,
@@ -308,10 +306,10 @@ TEST(ReaderTest, PartialDedupFeaturesRoundTrip) {
         config_partial.dedup_sparse_features.begin());
   }
   config_partial.partial_dedup_features.push_back(target);
-  Reader partial_reader(fx.store, fx.table, config_partial,
-                        ReaderOptions{.use_ikjt = true});
-  Reader base_reader(fx.store, fx.table, config_base,
-                     ReaderOptions{.use_ikjt = false});
+  ReaderPool partial_reader(fx.store, fx.table, config_partial,
+                            ReaderOptions{.use_ikjt = true});
+  ReaderPool base_reader(fx.store, fx.table, config_base,
+                         ReaderOptions{.use_ikjt = false});
   while (true) {
     auto pb = partial_reader.NextBatch();
     auto bb = base_reader.NextBatch();
@@ -335,8 +333,8 @@ TEST(ReaderTest, PartialFeaturesFallBackToKjtWhenRecdOff) {
   config.batch_size = 64;
   const std::string target = fx.spec.sparse[0].name;
   config.partial_dedup_features.push_back(target);
-  Reader rdr(fx.store, fx.table, config,
-             ReaderOptions{.use_ikjt = false});
+  ReaderPool rdr(fx.store, fx.table, config,
+                 ReaderOptions{.use_ikjt = false});
   auto batch = rdr.NextBatch();
   ASSERT_TRUE(batch.has_value());
   EXPECT_TRUE(batch->partials.empty());
@@ -360,18 +358,45 @@ TEST(ReaderTierTest, FasterReadersMeanFewerHosts) {
   EXPECT_EQ(recd.readers_needed, 56u);
 }
 
-class BatchSizeSweep : public ::testing::TestWithParam<std::size_t> {};
+// Partial-batch cutting on both ReaderPool drivers: inline (1 worker)
+// and threaded (4 workers).
+struct SweepCase {
+  std::size_t batch_size;
+  std::size_t workers;
+};
+
+// Test names carry the batch size, plus the worker count when it is not
+// the default 1 (e.g. Sweep/BatchSizeSweep.AllBatchSizesCoverDataset/13
+// and .../13_4workers).
+void PrintTo(const SweepCase& c, std::ostream* os) {
+  *os << c.batch_size;
+  if (c.workers != 1) *os << '_' << c.workers << "workers";
+}
+
+std::vector<SweepCase> SweepCases() {
+  std::vector<SweepCase> cases;
+  for (const std::size_t workers : {1u, 4u}) {
+    for (const std::size_t batch_size : {1u, 13u, 100u, 333u, 1000u}) {
+      cases.push_back({batch_size, workers});
+    }
+  }
+  return cases;
+}
+
+class BatchSizeSweep : public ::testing::TestWithParam<SweepCase> {};
 
 TEST_P(BatchSizeSweep, AllBatchSizesCoverDataset) {
   auto fx = MakeFixture(333, true, 0.05);
-  Reader rdr(fx.store, fx.table, SmallConfig(fx, GetParam(), true));
+  auto config = SmallConfig(fx, GetParam().batch_size, true);
+  config.num_workers = GetParam().workers;
+  ReaderPool rdr(fx.store, fx.table, config);
   std::size_t rows = 0;
   while (auto batch = rdr.NextBatch()) rows += batch->batch_size;
   EXPECT_EQ(rows, 333u);
 }
 
 INSTANTIATE_TEST_SUITE_P(Sweep, BatchSizeSweep,
-                         ::testing::Values(1, 13, 100, 333, 1000));
+                         ::testing::ValuesIn(SweepCases()));
 
 }  // namespace
 }  // namespace recd::reader

@@ -22,6 +22,7 @@
 #include "pipeline_counters.h"
 #include "datagen/presets.h"
 #include "etl/etl.h"
+#include "obs/trace.h"
 #include "reader/reader_pool.h"
 #include "storage/blob_store.h"
 #include "storage/column_file.h"
@@ -165,9 +166,21 @@ TEST(StreamPipelineTest, StreamingEqualsBatchWithWholeDatasetWindow) {
   ASSERT_FALSE(batch_prints.empty());
 
   for (const std::size_t num_threads : {std::size_t{1}, std::size_t{8}}) {
+    // The streaming runs are traced (the batch side is not): tracing
+    // must not change the stream, and the tailing reader emits its
+    // batches through the shared reader stage with its spans.
     std::vector<std::string> stream_prints;
+    auto& tracer = obs::Tracer::Global();
+    tracer.Start();
     const auto stream =
         RunStream(num_threads, whole, /*reorder=*/0, &stream_prints);
+    tracer.Stop();
+    const std::string trace = tracer.ToJson();
+    tracer.Clear();
+    EXPECT_NE(trace.find("\"name\":\"reader/convert\""), std::string::npos)
+        << "num_threads=" << num_threads;
+    EXPECT_NE(trace.find("\"name\":\"reader/process\""), std::string::npos)
+        << "num_threads=" << num_threads;
     ExpectPipelineCountersEqual(stream.pipeline, batch_result);
     EXPECT_EQ(stream_prints, batch_prints)
         << "num_threads=" << num_threads;

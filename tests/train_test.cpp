@@ -8,7 +8,7 @@
 #include "datagen/presets.h"
 #include "etl/etl.h"
 #include "nn/dense_matrix.h"
-#include "reader/reader.h"
+#include "reader/reader_pool.h"
 #include "storage/table.h"
 #include "train/collectives.h"
 #include "train/model.h"
@@ -49,12 +49,12 @@ Fixture MakeFixture(std::size_t batch_size = 128, double scale = 0.08,
                                    {std::move(samples)});
   fx.table = std::move(landed.table);
 
-  reader::Reader recd(fx.store, fx.table,
-                      MakeDataLoaderConfig(fx.model, batch_size, true),
-                      reader::ReaderOptions{.use_ikjt = true});
-  reader::Reader base(fx.store, fx.table,
-                      MakeDataLoaderConfig(fx.model, batch_size, false),
-                      reader::ReaderOptions{.use_ikjt = false});
+  reader::ReaderPool recd(fx.store, fx.table,
+                          MakeDataLoaderConfig(fx.model, batch_size, true),
+                          reader::ReaderOptions{.use_ikjt = true});
+  reader::ReaderPool base(fx.store, fx.table,
+                          MakeDataLoaderConfig(fx.model, batch_size, false),
+                          reader::ReaderOptions{.use_ikjt = false});
   fx.recd_batch = *recd.NextBatch();
   fx.base_batch = *base.NextBatch();
   return fx;

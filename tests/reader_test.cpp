@@ -77,6 +77,13 @@ TEST(ReaderTest, ZeroBatchSizeThrows) {
   EXPECT_THROW(ReaderPool(fx.store, fx.table, config), std::invalid_argument);
 }
 
+TEST(ReaderTest, UnknownFeatureThrows) {
+  auto fx = MakeFixture(10, true);
+  auto config = SmallConfig(fx, 4, true);
+  config.sparse_features.push_back("not_a_feature");
+  EXPECT_THROW(ReaderPool(fx.store, fx.table, config), std::out_of_range);
+}
+
 TEST(ReaderTest, BatchCarriesLabelsDenseAndSessions) {
   auto fx = MakeFixture(256, true);
   ReaderPool rdr(fx.store, fx.table, SmallConfig(fx, 64, true));

@@ -25,8 +25,7 @@ int main() {
       "compute+memory savings persist: lookups %.2fx fewer, dynamic "
       "memory %.2fx smaller\n",
       1e3 * base.trainer.a2a_exposed_s, 1e3 * recd.trainer.a2a_exposed_s,
-      base.trainer.lookups / recd.trainer.lookups *
-          (static_cast<double>(recd.trainer.qps > 0 ? 1 : 1)),
+      base.trainer.lookups / recd.trainer.lookups,
       base.trainer.dynamic_mem_bytes / recd.trainer.dynamic_mem_bytes);
   return 0;
 }

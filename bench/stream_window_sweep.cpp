@@ -1,12 +1,13 @@
 // Streaming dedup-capture vs ETL window size (docs/ARCHITECTURE.md §8).
 //
-// The batch pipeline clusters the whole dataset, so O2 captures every
-// within-session duplicate. A streaming ETL only clusters what lands in
-// the same window: sessions straddling a boundary lose dedup. This
-// sweep runs the full streaming pipeline at doubling window sizes —
-// doubling makes windows nest, so captured dedupe is exactly
-// monotonically non-decreasing in window size — and reports the
-// trade-off against end-to-end freshness and storage/reader bytes.
+// One whole-dataset window (the pipeline's default) clusters everything
+// at once, so O2 captures every within-session duplicate. Smaller
+// windows only cluster what lands in the same window: sessions
+// straddling a boundary lose dedup. This sweep runs the full pipeline
+// at doubling window sizes — doubling makes windows nest, so captured
+// dedupe is exactly monotonically non-decreasing in window size — and
+// reports the trade-off against end-to-end freshness and storage/reader
+// bytes.
 // The paper has no streaming numbers; every metric is ours (no `paper`
 // field).
 #include <cstdio>
@@ -14,7 +15,6 @@
 #include <vector>
 
 #include "bench_util.h"
-#include "stream/stream_pipeline.h"
 
 int main(int argc, char** argv) {
   using namespace recd;
@@ -42,25 +42,22 @@ int main(int argc, char** argv) {
   opts.samples_per_partition = 4'000;
   opts.max_trainer_batches = 2;
 
-  const std::int64_t kFull = 1 << 20;  // covers the whole dataset
+  // The default window covers the whole dataset: the batch pipeline.
+  const std::int64_t kFull = core::PipelineOptions{}.window_ticks;
   const std::vector<std::int64_t> windows = {250,  500,  1000, 2000,
                                              4000, 8000, kFull};
 
   // Reference for the byte ratios: the whole-dataset window (== batch).
   double full_stored = 0;
   double full_read = 0;
-  std::vector<stream::StreamResult> results;
+  std::vector<core::PipelineResult> results;
   for (const auto w : windows) {
-    stream::StreamOptions sopts;
-    sopts.window_ticks = w;
-    stream::StreamPipelineRunner runner(spec, model, train::ZionEx(8),
-                                        opts, sopts);
+    opts.window_ticks = w;
+    core::PipelineRunner runner(spec, model, train::ZionEx(8), opts);
     results.push_back(runner.Run(core::RecdConfig::Full(256)));
     if (w == kFull) {
-      full_stored =
-          static_cast<double>(results.back().pipeline.stored_bytes);
-      full_read =
-          static_cast<double>(results.back().pipeline.reader_io.bytes_read);
+      full_stored = static_cast<double>(results.back().stored_bytes);
+      full_read = static_cast<double>(results.back().reader_io.bytes_read);
     }
   }
 
@@ -68,18 +65,17 @@ int main(int argc, char** argv) {
     const auto& r = results[i];
     const bool full = windows[i] == kFull;
     const std::string label = full ? "full" : std::to_string(windows[i]);
-    const double stored_x =
-        static_cast<double>(r.pipeline.stored_bytes) / full_stored;
+    const double stored_x = static_cast<double>(r.stored_bytes) / full_stored;
     const double read_x =
-        static_cast<double>(r.pipeline.reader_io.bytes_read) / full_read;
+        static_cast<double>(r.reader_io.bytes_read) / full_read;
     std::printf("%-8s %8zu %9.2fx %9.2fx %11.0f %10.2fx %10.2fx\n",
                 label.c_str(), r.windows_landed, r.captured_dedupe_factor,
-                r.pipeline.mean_dedupe_factor, r.freshness_lag_mean,
+                r.mean_dedupe_factor, r.freshness_lag_mean,
                 stored_x, read_x);
     report.Add("captured_dedupe_factor_w" + label,
                r.captured_dedupe_factor, std::nullopt, "x");
     report.Add("batch_dedupe_factor_w" + label,
-               r.pipeline.mean_dedupe_factor, std::nullopt, "x");
+               r.mean_dedupe_factor, std::nullopt, "x");
     report.Add("freshness_lag_w" + label, r.freshness_lag_mean,
                std::nullopt, "ticks");
     report.Add("stored_bytes_ratio_w" + label, stored_x, std::nullopt,

@@ -6,8 +6,8 @@
 #
 # `check.sh --tsan` instead builds the `tsan` preset (ThreadSanitizer,
 # see CMakePresets.json) and runs the concurrency-touching suites —
-# ThreadPool/Channel/Barrier, ReaderPool, the pipeline round trip, the
-# streaming pipeline, storage, serving (including the multi-model zoo
+# ThreadPool/Channel/Barrier, ReaderPool, every test of the pipeline
+# runner (whose stages run on their own threads), storage, serving (including the multi-model zoo
 # and its scheduler), the executed distributed trainer, checkpoints and
 # fault recovery, kernels, the tiered embedding store, and obs — under
 # the race detector.
@@ -57,7 +57,7 @@ run_phase() {
   fi
 }
 
-TSAN_FILTER='ThreadPool|Channel|Barrier|Collective|Distributed|EmbeddingShard|IkjtSlice|ReaderPool|PipelineRoundTrip|Scribe|Storage|ColumnFile|ChecksumFile|Stream|WindowedEtl|TrafficSource|Serve|Batcher|QueryGenerator|MultiModelServing|Scheduler|Checkpoint|Fault|Kernel|Embstore|Obs'
+TSAN_FILTER='ThreadPool|Channel|Barrier|Collective|Distributed|EmbeddingShard|IkjtSlice|ReaderPool|PipelineRoundTrip|Scribe|Storage|ColumnFile|ChecksumFile|Stream|WindowedEtl|TrafficSource|Serve|Batcher|QueryGenerator|MultiModelServing|Scheduler|Checkpoint|Fault|Kernel|Embstore|Obs|PipelineTest|PipelineRunner'
 
 case "${1:-}" in
   --tsan)

@@ -4,10 +4,14 @@
 // One runner instance generates traffic once; each Run() replays it
 // through the pipeline under a different RecdConfig so baseline and RecD
 // measurements compare identical data (as the paper's clustered table
-// "contains the same data as the baseline table").
+// "contains the same data as the baseline table"). By default the
+// whole dataset lands as one ETL window with no arrival reordering;
+// smaller windows and reordering model a production streaming ETL.
 #pragma once
 
 #include <cstdint>
+#include <functional>
+#include <limits>
 #include <optional>
 #include <string>
 #include <vector>
@@ -18,6 +22,7 @@
 #include "reader/batch_pipeline.h"
 #include "scribe/scribe.h"
 #include "storage/table.h"
+#include "stream/windowed_etl.h"
 #include "train/trainer_sim.h"
 
 namespace recd::core {
@@ -53,11 +58,12 @@ struct RecdConfig {
 };
 
 /// Invariants (checked by ValidatePipelineOptions, enforced at
-/// construction by PipelineRunner and stream::StreamPipelineRunner):
-/// `num_scribe_shards`, `samples_per_partition`, and `rows_per_stripe`
-/// must all be >= 1. Zero used to surface as a throw deep inside Run()
-/// (or, for a would-be zero-row stripe cut, silent misbehavior);
-/// validating up front names the offending knob instead.
+/// construction by PipelineRunner): `num_scribe_shards`,
+/// `samples_per_partition`, `rows_per_stripe` and `window_ticks` must
+/// all be >= 1, and `reorder_ticks` >= 0. Zero used to surface as a
+/// throw deep inside Run() (or, for a would-be zero-row stripe cut,
+/// silent misbehavior); validating up front names the offending knob
+/// instead.
 struct PipelineOptions {
   std::size_t num_samples = 20'000;
   /// Trainer shape multipliers (see train::ShapeScale); benches use
@@ -67,14 +73,25 @@ struct PipelineOptions {
   std::size_t samples_per_partition = 10'000;
   std::size_t rows_per_stripe = 1024;
   std::size_t max_trainer_batches = 4;  // iterations averaged for QPS
-  /// Worker threads for every parallel stage: Scribe flush, ETL
-  /// clustering/downsampling, storage stripe encode, and the reader
-  /// pool (reader::ReaderPool with this many workers). 1 = the
-  /// single-threaded pipeline, with the reader's stages run inline on
-  /// the consuming thread. Any value yields byte-identical sample
+  /// Worker threads for the data-parallel work inside every stage:
+  /// Scribe flush, ETL clustering/downsampling, storage stripe encode,
+  /// and the tailing reader's stripe fetch + decode. 1 = every stage
+  /// runs its sequential path. Any value yields byte-identical sample
   /// data and identical non-timing PipelineResult counters — stages
   /// reassemble their outputs in scan order (docs/ARCHITECTURE.md §7).
   std::size_t num_threads = 1;
+  /// Event-time ticks per ETL window. The default exceeds any dataset's
+  /// span, so the whole dataset lands as one window: the batch pipeline.
+  std::int64_t window_ticks = std::numeric_limits<std::int64_t>::max();
+  /// Bound on source arrival reordering (0 = replay generation order).
+  /// The ETL watermark waits exactly this long, so nothing drops late.
+  std::int64_t reorder_ticks = 0;
+  /// Messages between incremental full-block Scribe flushes (0 = flush
+  /// only at end of stream).
+  std::size_t scribe_flush_every = 4096;
+  /// Diagnostic/test hook: observes every delivered batch on the
+  /// consumer thread, in order, before the trainer sim sees it.
+  std::function<void(const reader::PreprocessedBatch&)> batch_observer;
 };
 
 /// Everything the benchmarks report, measured in one pass.
@@ -95,69 +112,59 @@ struct PipelineResult {
   // Trainer.
   train::IterationBreakdown trainer;
   double trainer_qps = 0;
+  // Streaming: windows, drops and freshness.
+  std::size_t windows_landed = 0;
+  std::size_t late_features = 0;     // arrived after their window closed
+  std::size_t late_events = 0;       // outcome could no longer join
+  std::size_t unjoined_features = 0;  // window closed before the outcome
+  std::size_t scribe_incremental_flushes = 0;
+  /// Mean ticks between a sample's event time and its window landing —
+  /// the end-to-end freshness the window size buys (smaller = fresher).
+  double freshness_lag_mean = 0;
+  /// Value-weighted dedupe factor the windowed clustering made
+  /// capturable (duplicates only count within a window — the
+  /// window-size ↔ dedupe trade-off bench_stream_window_sweep measures).
+  double captured_dedupe_factor = 1.0;
+  std::vector<stream::WindowStats> windows;
 };
 
 /// Throws std::invalid_argument naming the first violated PipelineOptions
-/// invariant (see the struct comment). Shared by the batch and streaming
-/// runners so both reject bad knobs at construction.
+/// invariant (see the struct comment).
 void ValidatePipelineOptions(const PipelineOptions& options);
-
-/// Accumulates the trainer-side measurements of PipelineResult from a
-/// stream of preprocessed batches: samples/session within batches,
-/// measured dedupe factor, and the simulated training iterations.
-/// Factored out of PipelineRunner::Run so the streaming runner consumes
-/// batches through the *same* code — identical batch streams then yield
-/// identical counters by construction, not by parallel maintenance.
-class BatchConsumer {
- public:
-  /// `model` must already carry any emb_dim_override.
-  BatchConsumer(const train::ModelConfig& model,
-                const train::ClusterSpec& cluster, const RecdConfig& config,
-                const train::ShapeScale& scale,
-                std::size_t max_trainer_batches);
-
-  void Consume(const reader::PreprocessedBatch& batch);
-
-  /// Writes the consumed measurements plus the reader's final stats
-  /// into `result` (batch_samples_per_session, mean_dedupe_factor,
-  /// reader_times/io/rows-per-second, trainer breakdown and QPS).
-  void Finalize(const reader::StageTimes& times,
-                const reader::ReaderIoStats& io,
-                PipelineResult& result) const;
-
- private:
-  train::TrainerSim trainer_;
-  std::size_t batch_size_;
-  std::size_t max_batches_;
-  std::size_t num_gpus_;
-  double spc_sum_ = 0;
-  double values_before_ = 0;
-  double values_after_ = 0;
-  std::size_t iterations_ = 0;
-  train::IterationBreakdown accum_;
-};
 
 /// The DataLoader configuration PipelineRunner::Run derives from a model
 /// + RecdConfig: batch size, IKJT groups, and the representative
 /// preprocessing transforms (hash the first feature of every dedup-able
-/// group, normalize dense). Factored out so the streaming runner feeds
-/// its tailing readers the exact same loader — a precondition for the
-/// streaming-equals-batch contract. `model` must already carry any
-/// emb_dim_override.
+/// group, normalize dense). Public so other drivers of the reader tier
+/// (the serving stack, the end-to-end benchmark) build the exact same
+/// loader. `model` must already carry any emb_dim_override.
 [[nodiscard]] reader::DataLoaderConfig MakePipelineLoader(
     const train::ModelConfig& model, const RecdConfig& config);
 
 /// The storage schema the pipeline lands a dataset under (dense width +
-/// every sparse feature, in spec order). Shared by both runners for the
-/// same reason as MakePipelineLoader: the streaming table must be
-/// shaped exactly like the batch table by construction.
+/// every sparse feature, in spec order).
 [[nodiscard]] storage::StorageSchema MakePipelineSchema(
     const datagen::DatasetSpec& dataset);
 
+/// The Fig-1 pipeline as a flow of stages, each on its own thread,
+/// connected by bounded common::Channel hand-offs:
+///
+///   TrafficSource ─► StreamScribe ─► WindowedEtl ─► TailingReader ─► trainer
+///        (pump)        (log bus)      (windowed       (tailing         (Run's
+///                                      land)           batches)        thread)
+///
+/// Backpressure runs end to end: a slow trainer stalls the reader, a
+/// slow land stalls the ETL buffer, all the way back to the source. The
+/// stage threads are structural; PipelineOptions::num_threads sizes
+/// the one common::ThreadPool that parallelizes the work *inside*
+/// stages. Every stage is a pure function of its input sequence, so a
+/// given (dataset, options, config) gives identical results for any
+/// num_threads (docs/ARCHITECTURE.md §8).
 class PipelineRunner {
  public:
-  /// Throws std::invalid_argument if `options` violates an invariant
-  /// (ValidatePipelineOptions).
+  /// Generates traffic once; each Run replays it under a different
+  /// RecdConfig over identical data. Throws std::invalid_argument if
+  /// `options` violates an invariant (ValidatePipelineOptions).
   PipelineRunner(datagen::DatasetSpec dataset, train::ModelConfig model,
                  train::ClusterSpec cluster, PipelineOptions options = {});
 
@@ -170,11 +177,6 @@ class PipelineRunner {
   }
   [[nodiscard]] const train::ModelConfig& model() const { return model_; }
 
-  /// The joined, un-clustered sample stream (for characterization).
-  [[nodiscard]] const std::vector<datagen::Sample>& raw_samples() const {
-    return samples_;
-  }
-
  private:
   datagen::DatasetSpec dataset_;
   train::ModelConfig model_;
@@ -182,7 +184,6 @@ class PipelineRunner {
   PipelineOptions options_;
 
   datagen::TrafficGenerator::Traffic traffic_;
-  std::vector<datagen::Sample> samples_;  // joined, inference order
 };
 
 }  // namespace recd::core

@@ -29,9 +29,10 @@ struct StageTimes {
   double convert_s = 0;
   double process_s = 0;
   /// Wall-clock seconds of the scan as the consumer saw it. ReaderPool's
-  /// inline driver runs the stages back to back on one thread, so it
-  /// sets total_s(); threaded readers set real elapsed time, since their
-  /// per-stage sums count CPU seconds across workers that overlap.
+  /// inline driver and stream::TailingReader run the stages back to back
+  /// on one thread, so they set total_s(); threaded readers set real
+  /// elapsed time, since their per-stage sums count CPU seconds across
+  /// workers that overlap.
   double wall_s = 0;
   [[nodiscard]] double total_s() const {
     return fill_s + convert_s + process_s;

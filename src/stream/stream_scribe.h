@@ -1,7 +1,7 @@
 // StreamScribe: tails the traffic stream into the sharded Scribe.
 //
-// In the batch runner, Scribe ingests every log and compresses once at
-// the end. A long-lived bus can't wait: its storage nodes compress
+// A batch pipeline would have Scribe ingest every log and compress once
+// at the end. A long-lived bus can't wait: its storage nodes compress
 // buffered chunks periodically while traffic keeps arriving (paper
 // §2.1: Scribe buffers "in memory and on disk" in bounded chunks).
 // StreamScribe models that cadence — every `flush_every_messages`

@@ -3,6 +3,7 @@
 #include <stdexcept>
 #include <utility>
 
+#include "common/stopwatch.h"
 #include "common/thread_pool.h"
 
 namespace recd::stream {
@@ -23,7 +24,6 @@ TailingReader::TailingReader(storage::BlobStore& store,
     throw std::invalid_argument(
         "TailingReader: batch_size must be positive");
   }
-  wall_.Start();
 }
 
 bool TailingReader::Offer(const LandedWindow& window) {
@@ -68,8 +68,7 @@ bool TailingReader::Finish() {
   finished_ = true;
   bool ok = true;
   if (!buffer_.empty()) ok = EmitBatch(buffer_.size());
-  wall_.Stop();
-  times_.wall_s = wall_.seconds();
+  times_.wall_s = times_.total_s();
   return ok;
 }
 

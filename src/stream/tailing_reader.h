@@ -27,7 +27,6 @@
 #include <functional>
 #include <vector>
 
-#include "common/stopwatch.h"
 #include "datagen/sample.h"
 #include "reader/batch.h"
 #include "reader/batch_pipeline.h"
@@ -68,8 +67,8 @@ class TailingReader {
   /// End of stream: emits the final partial batch, if any.
   bool Finish();
 
-  /// Aggregated stage times; wall_s spans construction → Finish (so
-  /// it is final only once Finish has run).
+  /// Aggregated stage times. The stages run back to back on the calling
+  /// thread, so wall_s is their sum (set by Finish).
   [[nodiscard]] const reader::StageTimes& times() const { return times_; }
   [[nodiscard]] const reader::ReaderIoStats& io() const { return io_; }
 
@@ -89,7 +88,6 @@ class TailingReader {
   std::deque<datagen::Sample> buffer_;  // rows awaiting batch cutting
   reader::StageTimes times_;
   reader::ReaderIoStats io_;
-  common::Stopwatch wall_;
   bool finished_ = false;
 };
 

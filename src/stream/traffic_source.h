@@ -1,7 +1,7 @@
 // TrafficSource: replays generated traffic as a stream, in arrival-time
 // order with bounded reordering.
 //
-// The batch pipeline hands whole log vectors between stages; production
+// A batch pipeline hands whole log vectors between stages; production
 // traffic instead trickles in over a message bus, slightly out of order
 // (paper §2.1: inference servers and user-facing services log into
 // Scribe independently). This source models that: every feature/event
@@ -9,7 +9,7 @@
 // uniform delay in [0, reorder_ticks], and messages are emitted sorted
 // by arrival tick (stable, so ties keep log order). reorder_ticks == 0
 // replays exactly the generation order — the configuration under which
-// the streaming pipeline must reproduce the batch pipeline byte for
+// a whole-dataset window must reproduce a one-pass batch run byte for
 // byte (docs/ARCHITECTURE.md §8).
 #pragma once
 

@@ -31,6 +31,7 @@ namespace recd::core {
 namespace {
 
 constexpr std::size_t kBatchSize = 256;
+constexpr std::size_t kNumSamples = 3000;
 
 void AppendBits(std::string& out, const void* data, std::size_t n) {
   out.append(static_cast<const char*>(data), n);
@@ -66,6 +67,14 @@ struct RoundTripResult {
   std::size_t batches_with_ikjts = 0;
 };
 
+/// The runner's joined, un-clustered sample stream, rebuilt from the
+/// same generator the runner replays.
+std::vector<datagen::Sample> JoinedSamples(const PipelineRunner& runner) {
+  datagen::TrafficGenerator generator(runner.dataset());
+  const auto traffic = generator.Generate(kNumSamples);
+  return etl::JoinLogs(traffic.features, traffic.events);
+}
+
 /// Replays the runner's joined samples through ETL clustering, columnar
 /// landing, and the reader under `config`, expanding every IKJT and
 /// partial IKJT back to per-row values. Mirrors PipelineRunner::Run's
@@ -74,7 +83,7 @@ struct RoundTripResult {
 RoundTripResult RoundTrip(const PipelineRunner& runner,
                           const RecdConfig& config,
                           std::size_t num_workers = 1) {
-  auto samples = runner.raw_samples();
+  auto samples = JoinedSamples(runner);
   if (config.cluster_by_session) etl::ClusterBySession(samples);
   auto partitions = etl::PartitionByCount(std::move(samples), 4096);
 
@@ -142,7 +151,7 @@ PipelineRunner MakeRunner() {
   auto model = train::RmModel(datagen::RmKind::kRm1, spec);
   model.emb_hash_size = 10'000;
   PipelineOptions opts;
-  opts.num_samples = 3000;
+  opts.num_samples = kNumSamples;
   opts.samples_per_partition = 3000;
   return PipelineRunner(spec, model, train::ZionEx(8), opts);
 }
@@ -168,7 +177,7 @@ TEST(PipelineRoundTripTest, RoundTripPreservesTheGeneratedSamples) {
   // reader must return exactly one row per generated sample.
   const auto runner = MakeRunner();
   const auto recd = RoundTrip(runner, RecdConfig::Full(kBatchSize));
-  EXPECT_EQ(recd.rows.size(), runner.raw_samples().size());
+  EXPECT_EQ(recd.rows.size(), JoinedSamples(runner).size());
 }
 
 TEST(PipelineRoundTripTest, ParallelReadersDeliverIdenticalSampleData) {
@@ -187,7 +196,7 @@ TEST(PipelineRoundTripTest, ParallelReadersDeliverIdenticalSampleData) {
 TEST(PipelineRoundTripTest, ParallelRunMatchesSingleThreadedCounters) {
   // PipelineRunner::Run with num_threads = 8 must report identical
   // non-timing counters to num_threads = 1: every parallel stage
-  // (Scribe flush, ETL cluster/downsample, stripe encode, reader pool)
+  // (Scribe flush, ETL cluster/downsample, stripe encode, stripe fetch)
   // reassembles its output in scan order, so only wall-clock fields may
   // differ. Exact floating-point equality is intentional — both runs
   // accumulate the same values in the same order.

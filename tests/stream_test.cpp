@@ -2,9 +2,10 @@
 //
 // The two contracts under test:
 //  1. Streaming-equals-batch: with one window covering the whole
-//     dataset and zero reordering, StreamPipelineRunner delivers the
-//     byte-identical batch stream and identical non-timing counters of
-//     core::PipelineRunner::Run, for any num_threads.
+//     dataset and zero reordering, core::PipelineRunner delivers the
+//     byte-identical batch stream of a one-pass batch ETL + ReaderPool
+//     scan, and the non-timing counters of the retired batch-only
+//     runner (a golden digest), for any num_threads.
 //  2. Window-boundary dedup loss: a session straddling two ETL windows
 //     clusters within each window but not across, the open-session
 //     carry-over policy is deterministic (thread count, repetition, and
@@ -27,7 +28,6 @@
 #include "storage/blob_store.h"
 #include "storage/column_file.h"
 #include "storage/table.h"
-#include "stream/stream_pipeline.h"
 #include "stream/traffic_source.h"
 #include "stream/windowed_etl.h"
 #include "tensor/serialize.h"
@@ -93,9 +93,9 @@ core::RecdConfig MakeConfig() {
   return config;
 }
 
-/// The batch runner's exact data path (datagen → join → downsample →
-/// cluster → partition → land → ReaderPool), fingerprinting every
-/// delivered batch. Mirrors PipelineRunner::Run minus the trainer.
+/// The one-pass batch data path (datagen → join → downsample → cluster
+/// → partition → land → ReaderPool), fingerprinting every delivered
+/// batch: what a whole-dataset window must reproduce.
 std::vector<std::string> BatchModeFingerprints(
     const datagen::DatasetSpec& spec, const train::ModelConfig& model,
     const core::PipelineOptions& opts, const core::RecdConfig& config) {
@@ -126,54 +126,53 @@ std::vector<std::string> BatchModeFingerprints(
   return prints;
 }
 
-StreamResult RunStream(std::size_t num_threads, std::int64_t window_ticks,
-                       std::int64_t reorder_ticks,
-                       std::vector<std::string>* prints = nullptr) {
+core::PipelineResult RunStream(std::size_t num_threads,
+                               std::int64_t window_ticks,
+                               std::int64_t reorder_ticks,
+                               std::vector<std::string>* prints = nullptr) {
   const auto spec = MakeSpec();
-  StreamOptions sopts;
-  sopts.window_ticks = window_ticks;
-  sopts.reorder_ticks = reorder_ticks;
-  sopts.scribe_flush_every = 512;  // exercise incremental flushing
+  auto opts = MakeOptions(num_threads);
+  opts.window_ticks = window_ticks;
+  opts.reorder_ticks = reorder_ticks;
+  opts.scribe_flush_every = 512;  // exercise incremental flushing
   if (prints != nullptr) {
-    sopts.batch_observer = [prints](const reader::PreprocessedBatch& b) {
+    opts.batch_observer = [prints](const reader::PreprocessedBatch& b) {
       prints->push_back(Fingerprint(b));
     };
   }
-  StreamPipelineRunner runner(spec, MakeModel(spec), train::ZionEx(8),
-                              MakeOptions(num_threads), sopts);
+  core::PipelineRunner runner(spec, MakeModel(spec), train::ZionEx(8),
+                              opts);
   return runner.Run(MakeConfig());
 }
 
 using testutil::ExpectPipelineCountersEqual;
 
-// The acceptance test: one whole-dataset window, zero reordering, num
-// threads 1 and 8 — byte-identical sample data (full batch
-// fingerprints, in order) and identical non-timing counters vs the
-// batch PipelineRunner.
+// The acceptance test: one whole-dataset window (the default), zero
+// reordering, num threads 1 and 8 — byte-identical sample data (full
+// batch fingerprints, in order) and the non-timing counters of the
+// retired batch-only runner.
 TEST(StreamPipelineTest, StreamingEqualsBatchWithWholeDatasetWindow) {
+  // testutil::PipelineCountersDigest of the batch-only PipelineRunner's
+  // Run on this fixture (MakeOptions(1), MakeConfig()), recorded before
+  // that runner was removed.
+  constexpr std::uint64_t kGolden = 0x972cc06ed44cb0b2ULL;
   const auto spec = MakeSpec();
   const auto model = MakeModel(spec);
   const auto config = MakeConfig();
-  // Event-time spans options.num_samples ticks; any window >= that
-  // covers the whole dataset.
-  const std::int64_t whole = 1 << 20;
-
-  core::PipelineRunner batch(spec, model, train::ZionEx(8),
-                             MakeOptions(1));
-  const auto batch_result = batch.Run(config);
   const auto batch_prints =
       BatchModeFingerprints(spec, model, MakeOptions(1), config);
   ASSERT_FALSE(batch_prints.empty());
 
   for (const std::size_t num_threads : {std::size_t{1}, std::size_t{8}}) {
-    // The streaming runs are traced (the batch side is not): tracing
-    // must not change the stream, and the tailing reader emits its
-    // batches through the shared reader stage with its spans.
+    // The runs are traced: tracing must not change the stream, and the
+    // tailing reader emits its batches through the shared reader stage
+    // with its spans.
     std::vector<std::string> stream_prints;
     auto& tracer = obs::Tracer::Global();
     tracer.Start();
-    const auto stream =
-        RunStream(num_threads, whole, /*reorder=*/0, &stream_prints);
+    const auto stream = RunStream(
+        num_threads, core::PipelineOptions{}.window_ticks, /*reorder=*/0,
+        &stream_prints);
     tracer.Stop();
     const std::string trace = tracer.ToJson();
     tracer.Clear();
@@ -181,7 +180,11 @@ TEST(StreamPipelineTest, StreamingEqualsBatchWithWholeDatasetWindow) {
         << "num_threads=" << num_threads;
     EXPECT_NE(trace.find("\"name\":\"reader/process\""), std::string::npos)
         << "num_threads=" << num_threads;
-    ExpectPipelineCountersEqual(stream.pipeline, batch_result);
+    EXPECT_EQ(testutil::PipelineCountersDigest(stream), kGolden)
+        << "num_threads=" << num_threads;
+    // The reader's stages run back to back on one thread: wall time is
+    // their sum, not the whole pipeline's elapsed time.
+    EXPECT_EQ(stream.reader_times.wall_s, stream.reader_times.total_s());
     EXPECT_EQ(stream_prints, batch_prints)
         << "num_threads=" << num_threads;
     EXPECT_EQ(stream.windows_landed, 1u);
@@ -208,7 +211,7 @@ TEST(StreamPipelineTest, MultiWindowRunsAreThreadCountInvariant) {
   EXPECT_EQ(a.unjoined_features, b.unjoined_features);
   EXPECT_EQ(a.captured_dedupe_factor, b.captured_dedupe_factor);
   EXPECT_EQ(a.freshness_lag_mean, b.freshness_lag_mean);
-  ExpectPipelineCountersEqual(a.pipeline, b.pipeline);
+  ExpectPipelineCountersEqual(a, b);
   EXPECT_EQ(prints_a, prints_b);
   ASSERT_EQ(a.windows.size(), b.windows.size());
   for (std::size_t i = 0; i < a.windows.size(); ++i) {
@@ -466,40 +469,6 @@ TEST(TrafficSourceTest, BoundedReorderingIsBoundedAndDeterministic) {
                                 : m.event.timestamp;
     EXPECT_EQ(m.arrival_tick, ts);
   }
-}
-
-// The shared PipelineOptions invariants (documented on the struct) are
-// enforced at construction by both runners.
-TEST(StreamPipelineTest, RejectsInvalidPipelineOptions) {
-  const auto spec = MakeSpec();
-  const auto model = MakeModel(spec);
-  const auto make = [&](core::PipelineOptions opts) {
-    StreamOptions sopts;
-    sopts.window_ticks = 1 << 20;
-    opts.num_samples = 16;
-    StreamPipelineRunner runner(spec, model, train::ZionEx(8), opts,
-                                sopts);
-  };
-  core::PipelineOptions opts;
-  opts.samples_per_partition = 0;
-  EXPECT_THROW(make(opts), std::invalid_argument);
-  opts = {};
-  opts.rows_per_stripe = 0;
-  EXPECT_THROW(make(opts), std::invalid_argument);
-  opts = {};
-  opts.num_scribe_shards = 0;
-  EXPECT_THROW(make(opts), std::invalid_argument);
-
-  StreamOptions bad;
-  bad.window_ticks = 0;
-  EXPECT_THROW(
-      StreamPipelineRunner(spec, model, train::ZionEx(8), {}, bad),
-      std::invalid_argument);
-  bad = {};
-  bad.reorder_ticks = -1;
-  EXPECT_THROW(
-      StreamPipelineRunner(spec, model, train::ZionEx(8), {}, bad),
-      std::invalid_argument);
 }
 
 }  // namespace

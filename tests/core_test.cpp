@@ -252,8 +252,9 @@ TEST_F(PipelineTest, SamplesPerSessionSurvivesPipeline) {
 
 TEST_F(PipelineTest, RejectsInvalidOptionsAtConstruction) {
   // The documented PipelineOptions invariants: zero-valued sizing knobs
-  // (and a negative reorder bound) throw std::invalid_argument up front
-  // instead of failing deep inside Run() or silently misbehaving.
+  // throw std::invalid_argument up front instead of failing deep inside
+  // Run() or silently misbehaving. The streaming knobs are covered by
+  // StreamPipelineTest.RejectsInvalidPipelineOptions.
   const auto spec = datagen::RmDataset(datagen::RmKind::kRm1, 0.08);
   const auto model = RmModelForTest(spec);
   const auto make = [&](PipelineOptions opts) {
@@ -269,12 +270,6 @@ TEST_F(PipelineTest, RejectsInvalidOptionsAtConstruction) {
   EXPECT_THROW(make(opts), std::invalid_argument);
   opts = {};
   opts.num_scribe_shards = 0;
-  EXPECT_THROW(make(opts), std::invalid_argument);
-  opts = {};
-  opts.window_ticks = 0;
-  EXPECT_THROW(make(opts), std::invalid_argument);
-  opts = {};
-  opts.reorder_ticks = -1;
   EXPECT_THROW(make(opts), std::invalid_argument);
 }
 

@@ -14,6 +14,7 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -244,6 +245,34 @@ TEST(StreamPipelineTest, SmallerWindowsCaptureLessDedup) {
   EXPECT_GT(session_fragments, whole_sessions);
   // And the flip side of the trade-off: smaller windows land fresher.
   EXPECT_LT(small.freshness_lag_mean, whole.freshness_lag_mean);
+}
+
+// The streaming knobs share PipelineOptions' up-front validation: a
+// zero-length window or a negative reorder bound throws at construction,
+// and so do the sizing knobs on the streaming fixture.
+TEST(StreamPipelineTest, RejectsInvalidPipelineOptions) {
+  const auto spec = MakeSpec();
+  const auto model = MakeModel(spec);
+  const auto make = [&](core::PipelineOptions opts) {
+    opts.num_samples = 16;
+    core::PipelineRunner runner(spec, model, train::ZionEx(8), opts);
+  };
+  EXPECT_NO_THROW(make({}));
+  core::PipelineOptions opts;
+  opts.samples_per_partition = 0;
+  EXPECT_THROW(make(opts), std::invalid_argument);
+  opts = {};
+  opts.rows_per_stripe = 0;
+  EXPECT_THROW(make(opts), std::invalid_argument);
+  opts = {};
+  opts.num_scribe_shards = 0;
+  EXPECT_THROW(make(opts), std::invalid_argument);
+  opts = {};
+  opts.window_ticks = 0;
+  EXPECT_THROW(make(opts), std::invalid_argument);
+  opts = {};
+  opts.reorder_ticks = -1;
+  EXPECT_THROW(make(opts), std::invalid_argument);
 }
 
 // ---- WindowedEtl unit tests: hand-built traffic. ----------------------

@@ -5,8 +5,13 @@
 // regenerated by running the binaries.
 #pragma once
 
+#include <sched.h>
+#include <sys/utsname.h>
+
 #include <cstdio>
 #include <cstdlib>
+#include <ctime>
+#include <fstream>
 #include <optional>
 #include <string>
 #include <thread>
@@ -42,12 +47,6 @@ inline void PrintRule() {
   std::printf("%s\n", std::string(76, '-').c_str());
 }
 
-/// "measured vs paper" row for ratio-style results.
-inline void PrintRatioRow(const std::string& label, double measured,
-                          double paper) {
-  std::printf("%-40s %10.2fx %12.2fx\n", label.c_str(), measured, paper);
-}
-
 inline const char* RmName(datagen::RmKind kind) {
   switch (kind) {
     case datagen::RmKind::kRm1:
@@ -60,11 +59,23 @@ inline const char* RmName(datagen::RmKind kind) {
   return "?";
 }
 
+/// This host's CPU model: the first /proc/cpuinfo "model name", else the
+/// uname machine (e.g. "aarch64").
+[[nodiscard]] inline std::string HostCpuModel() {
+  std::ifstream in("/proc/cpuinfo");
+  for (std::string line; std::getline(in, line);) {
+    const auto colon = line.find(": ");
+    if (line.rfind("model name", 0) == 0 && colon != std::string::npos) {
+      return line.substr(colon + 2);
+    }
+  }
+  utsname u{};
+  return uname(&u) == 0 ? u.machine : "?";
+}
+
 /// Collects metric rows and writes the repo's `BENCH_*.json` convention
-/// (docs/BENCHMARKS.md). Context fields come from the environment —
-/// scripts/bench.sh exports RECD_BENCH_COMMIT / RECD_BENCH_DATE /
-/// RECD_BENCH_CPU / RECD_BENCH_CORES / RECD_BENCH_BUILD_TYPE — so the
-/// binaries stay runnable without git or /proc.
+/// (docs/BENCHMARKS.md). Host cpu, cores and date are read in-process;
+/// RECD_BENCH_COMMIT / RECD_BENCH_BUILD_TYPE may pin the rest.
 class JsonReport {
  public:
   explicit JsonReport(std::string target) : target_(std::move(target)) {}
@@ -74,6 +85,33 @@ class JsonReport {
   void Add(const std::string& key, double measured,
            std::optional<double> paper, const std::string& unit) {
     metrics_.push_back({key, measured, paper, unit});
+  }
+
+  /// Starts a section: prints its title and setup and records the setup
+  /// in the `setup` block. Later Row keys are recorded as `<name>.<key>`.
+  void Section(const std::string& name, const std::string& title,
+               const std::string& setup) {
+    PrintHeader(title);
+    std::printf("setup: %s\n%-46s %14s %12s\n", setup.c_str(), "",
+                "measured", "paper");
+    PrintRule();
+    section_ = name;
+    setup_json_ += (setup_json_.empty() ? "{ \"" : ", \"") + Escaped(name) +
+                   "\": \"" + Escaped(setup) + "\"";
+    SetEmbeddedJson("setup", setup_json_ + " }");
+  }
+
+  /// Prints one `key  measured  paper` row (`-` where the paper has no
+  /// value) and records it under the current section.
+  void Row(const std::string& key, double measured, const std::string& unit,
+           std::optional<double> paper = std::nullopt) {
+    std::printf("%-46s %12.4g%-2s", key.c_str(), measured, unit.c_str());
+    if (paper.has_value()) {
+      std::printf(" %12.4g%s\n", *paper, unit.c_str());
+    } else {
+      std::printf(" %12s\n", "-");
+    }
+    Add(section_ + "." + key, measured, paper, unit);
   }
 
   /// Adds a numeric field to the `host` context block (e.g. the
@@ -124,10 +162,8 @@ class JsonReport {
       std::fprintf(stderr, "JsonReport: cannot open %s\n", path);
       return false;
     }
-    const auto env = [](const char* name, const char* fallback) {
-      const char* v = std::getenv(name);
-      return Escaped(v != nullptr && *v != '\0' ? v : fallback);
-    };
+    const char* build_type = std::getenv("RECD_BENCH_BUILD_TYPE");
+    if (build_type == nullptr || *build_type == '\0') build_type = "Release";
     // Commit resolution: the RECD_BENCH_COMMIT override (scripts/bench.sh)
     // wins, then an in-process `git rev-parse` so directly-run binaries
     // still stamp traceable results, then "unknown" outside a checkout.
@@ -139,20 +175,21 @@ class JsonReport {
     std::fprintf(f, "{\n");
     std::fprintf(f, "  \"target\": \"%s\",\n", Escaped(target_).c_str());
     std::fprintf(f, "  \"commit\": \"%s\",\n", commit.c_str());
-    std::fprintf(f, "  \"date\": \"%s\",\n",
-                 env("RECD_BENCH_DATE", "unknown").c_str());
-    // cores is spliced in as a bare JSON number, so anything
-    // non-numeric falls back to 0 instead of corrupting the file.
-    const long cores = std::strtol(env("RECD_BENCH_CORES", "0").c_str(),
-                                   nullptr, 10);
+    char date[16];
+    const std::time_t now = std::time(nullptr);
+    std::strftime(date, sizeof(date), "%Y-%m-%d", std::gmtime(&now));
+    std::fprintf(f, "  \"date\": \"%s\",\n", date);
+    cpu_set_t cpus;  // cores = CPUs this process may run on, as `nproc`
+    const long cores = sched_getaffinity(0, sizeof(cpus), &cpus) == 0
+                           ? CPU_COUNT(&cpus)
+                           : std::thread::hardware_concurrency();
     std::fprintf(f,
                  "  \"host\": { \"cpu\": \"%s\", \"cores\": %ld, "
                  "\"hardware_threads\": %lu, \"build_type\": \"%s\"",
-                 env("RECD_BENCH_CPU", "unknown").c_str(),
-                 cores < 0 ? 0L : cores,
+                 Escaped(HostCpuModel()).c_str(), cores,
                  static_cast<unsigned long>(
                      std::thread::hardware_concurrency()),
-                 env("RECD_BENCH_BUILD_TYPE", "Release").c_str());
+                 Escaped(build_type).c_str());
     // Duplicated into the host block so BENCH_*.json results stay
     // traceable across PRs even when tooling reads only this block.
     std::fprintf(f, ", \"commit\": \"%s\"", commit.c_str());
@@ -202,8 +239,8 @@ class JsonReport {
     return out.empty() ? "unknown" : out;
   }
 
-  /// JSON string escaping for values that come from the environment
-  /// (CPU model strings can contain anything).
+  /// JSON string escaping for values read from the environment or the
+  /// host (CPU model strings can contain anything).
   static std::string Escaped(const std::string& s) {
     std::string out;
     out.reserve(s.size());
@@ -233,6 +270,8 @@ class JsonReport {
   std::vector<Metric> metrics_;
   std::vector<std::pair<std::string, long>> host_fields_;
   std::vector<std::pair<std::string, std::string>> embedded_json_;
+  std::string section_;
+  std::string setup_json_;  // {section: setup}, built by Section
 };
 
 /// Benchmark-scale pipeline for one RM. Batch sizes and GPU counts follow
@@ -272,13 +311,14 @@ struct RmBench {
   }
 
   [[nodiscard]] core::PipelineRunner MakeRunner(
-      std::size_t num_samples) const {
+      std::size_t num_samples, double length_scale = 4.0) const {
     core::PipelineOptions opts;
     opts.num_samples = num_samples;
     opts.samples_per_partition = num_samples;
     opts.max_trainer_batches = 2;
-    // Restore paper magnitudes: rows x8 (batch 256 -> 2048), lengths x4.
-    opts.trainer_scale = {8.0, 4.0};
+    // Restore paper magnitudes: rows x8 (batch 256 -> 2048), lengths x4
+    // (x12 for Table 2's full-length sequences).
+    opts.trainer_scale = {8.0, length_scale};
     return core::PipelineRunner(spec, model, cluster, opts);
   }
 };

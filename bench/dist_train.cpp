@@ -1,7 +1,7 @@
 // Executed hybrid-parallel training: rank sweep x baseline/RecD
 // (docs/ARCHITECTURE.md §10).
 //
-// Unlike bench_fig8_iteration_breakdown (the alpha-beta *simulator*),
+// Unlike bench_paper's Fig 8 (the alpha-beta *simulator*),
 // this harness runs the real multi-rank trainer: N rank threads, the
 // four collectives executed through train::CollectiveGroup, sharded
 // tables, replicated MLPs. Reported per configuration: mean step wall

@@ -1,19 +1,16 @@
 // §6.1 / O1: Scribe shard compression ratio, random-hash vs session-ID
 // shard key. Paper: 1.50x -> 2.25x.
-#include <cstdio>
-
 #include "bench_util.h"
 #include "datagen/generator.h"
 #include "scribe/scribe.h"
 
 int main() {
   using namespace recd;
-  bench::PrintHeader("O1: Scribe shard-key compression (hash vs session)");
-
   auto spec = datagen::RmDataset(datagen::RmKind::kRm1, 0.2);
   spec.concurrent_sessions = 512;
   datagen::TrafficGenerator gen(spec);
-  const auto traffic = gen.Generate(bench::SmokeOr<std::size_t>(20'000, 2'000));
+  const std::size_t samples = bench::SmokeOr<std::size_t>(20'000, 2'000);
+  const auto traffic = gen.Generate(samples);
 
   scribe::ScribeCluster hash_bus(16, scribe::ShardKeyPolicy::kRandomHash);
   scribe::ScribeCluster session_bus(16, scribe::ShardKeyPolicy::kSessionId);
@@ -24,19 +21,15 @@ int main() {
   hash_bus.Flush();
   session_bus.Flush();
 
-  const auto hash_totals = hash_bus.totals();
-  const auto session_totals = session_bus.totals();
-  std::printf("%-34s %10s %12s\n", "shard key", "measured", "paper");
-  bench::PrintRule();
-  bench::PrintRatioRow("random hash (baseline)",
-                       hash_totals.compression_ratio(), 1.50);
-  bench::PrintRatioRow("session id (RecD O1)",
-                       session_totals.compression_ratio(), 2.25);
-  bench::PrintRatioRow("improvement",
-                       session_totals.compression_ratio() /
-                           hash_totals.compression_ratio(),
-                       2.25 / 1.50);
-  std::printf("\nraw log volume: %.1f MB across %zu shards\n",
-              hash_totals.buffered_bytes / 1e6, hash_bus.num_shards());
+  const double hash = hash_bus.totals().compression_ratio();
+  const double session = session_bus.totals().compression_ratio();
+  bench::JsonReport report("bench_scribe_compression");
+  report.Section("o1", "O1: Scribe shard-key compression (hash vs session)",
+                 std::to_string(samples) + " RM1 samples, 512 concurrent "
+                 "sessions, 16 shards per bus");
+  report.Row("random_hash_ratio", hash, "x", 1.50);
+  report.Row("session_id_ratio", session, "x", 2.25);
+  report.Row("improvement", session / hash, "x", 2.25 / 1.50);
+  report.Row("raw_log_mb", hash_bus.totals().buffered_bytes / 1e6, "MB");
   return 0;
 }

@@ -1,36 +1,24 @@
 #!/usr/bin/env sh
-# Benchmark runner: builds the release preset, runs the end-to-end,
-# iteration-breakdown, reader-breakdown, streaming window-sweep,
-# serving-QPS, serving-at-scale, executed distributed-training, and
-# micro-kernel
-# harnesses, and records the corresponding
-# BENCH_*.json files at the repository root per the docs/BENCHMARKS.md
-# convention. Full-pipeline benches take minutes.
+# Benchmark runner: builds the release preset, runs every reporting bench
+# below, and records its BENCH_*.json at the repository root per the
+# docs/BENCHMARKS.md convention. Full-pipeline benches take minutes.
 set -eu
 
 cd "$(dirname "$0")/.."
 
 cmake --preset release
-cmake --build build -j --target bench_fig7_end_to_end \
-  bench_fig8_iteration_breakdown bench_fig10_reader_breakdown \
+cmake --build build -j --target bench_paper bench_fig10_reader_breakdown \
   bench_stream_window_sweep bench_serve_qps bench_dist_train \
   bench_checkpoint bench_micro_kernels bench_embstore_tiering \
   bench_serve_scale
 
-# Context recorded into the JSON reports (see bench::JsonReport). The
-# -dirty suffix marks results measured from uncommitted code.
+# Commit and build type for the reports (bench::JsonReport reads the host
+# itself). The -dirty suffix marks results from uncommitted code.
 RECD_BENCH_COMMIT=$(git describe --always --dirty 2>/dev/null || echo unknown)
-RECD_BENCH_DATE=$(date +%Y-%m-%d)
-RECD_BENCH_CORES=$(nproc 2>/dev/null || echo 0)
-RECD_BENCH_CPU=$(sed -n 's/^model name[^:]*: //p' /proc/cpuinfo 2>/dev/null \
-  | head -n 1)
-[ -n "${RECD_BENCH_CPU}" ] || RECD_BENCH_CPU=$(uname -m)
 RECD_BENCH_BUILD_TYPE=Release
-export RECD_BENCH_COMMIT RECD_BENCH_DATE RECD_BENCH_CORES \
-  RECD_BENCH_CPU RECD_BENCH_BUILD_TYPE
+export RECD_BENCH_COMMIT RECD_BENCH_BUILD_TYPE
 
-./build/bench_fig7_end_to_end --json BENCH_fig7_end_to_end.json
-./build/bench_fig8_iteration_breakdown --json BENCH_fig8_iteration_breakdown.json
+./build/bench_paper --json BENCH_paper.json
 ./build/bench_fig10_reader_breakdown --json BENCH_fig10_reader_breakdown.json
 ./build/bench_stream_window_sweep --json BENCH_stream_window_sweep.json
 ./build/bench_serve_qps --json BENCH_serve_qps.json
@@ -44,8 +32,4 @@ export RECD_BENCH_COMMIT RECD_BENCH_DATE RECD_BENCH_CORES \
 # host/commit context is unreproducible — fail here, not in CI).
 ./scripts/validate_bench_json.py
 
-echo "bench.sh: wrote BENCH_fig7_end_to_end.json," \
-  "BENCH_fig8_iteration_breakdown.json, BENCH_fig10_reader_breakdown.json," \
-  "BENCH_stream_window_sweep.json, BENCH_serve_qps.json," \
-  "BENCH_serve_scale.json, BENCH_dist_train.json, BENCH_checkpoint.json," \
-  "BENCH_micro_kernels.json, and BENCH_embstore_tiering.json"
+echo "bench.sh: wrote every BENCH_*.json report listed above"

@@ -6,11 +6,12 @@
 # Stages (each is a workflow job; `all` chains them for local runs):
 #   core        tier-1 (configure + build + ctest) then the strict
 #               (-Werror) preset build
-#   sanitizers  ASan over the full suite, TSan over the concurrency
-#               suites (check.sh's TSAN_FILTER), every bench target in
-#               smoke mode (each bench's built-in bitwise checks: fig8
-#               scalar == vectorized, embstore tiered == dense,
-#               serve_scale scores equal across fleets), then a traced
+#   sanitizers  ASan over the full suite, TSan over the tests labeled
+#               `tsan` (tests/CMakeLists.txt), every bench target in
+#               smoke mode (each bench's built-in bitwise checks:
+#               bench_paper TrainStep scalar == vectorized, embstore
+#               tiered == dense, serve_scale scores equal across
+#               fleets), then a traced
 #               dist-train smoke run asserting the Chrome trace carries
 #               spans for all four exchanges
 #   lint        BENCH_*.json schema lint (validate_bench_json.py)

@@ -3,8 +3,9 @@
 
 Every report must carry the context that makes its numbers traceable —
 target, commit, date, and a host block with cpu/cores/hardware_threads/
-build_type/commit — plus a non-empty metrics map whose rows each have a
-numeric "measured" and a string "unit" (an optional numeric "paper").
+build_type/commit (date and cpu not "unknown", cores not 0) — plus a
+non-empty metrics map whose rows each have a numeric "measured" and a
+string "unit" (an optional numeric "paper").
 Reports that embed an "obs_metrics" registry snapshot block
 (docs/BENCHMARKS.md) must give it the obs::MetricsSnapshot::ToJson
 shape — a "series" list of {name, labels, kind, value|histogram-stats}
@@ -40,10 +41,9 @@ REQUIRED_REPORTS = (
     "BENCH_checkpoint.json",
     "BENCH_dist_train.json",
     "BENCH_embstore_tiering.json",
-    "BENCH_fig7_end_to_end.json",
-    "BENCH_fig8_iteration_breakdown.json",
     "BENCH_fig10_reader_breakdown.json",
     "BENCH_micro_kernels.json",
+    "BENCH_paper.json",
     "BENCH_serve_qps.json",
     "BENCH_serve_scale.json",
     "BENCH_stream_window_sweep.json",
@@ -187,6 +187,10 @@ def check_file(path):
                 errors.append(f'host block missing or mistyped "{key}"')
             elif kind is str and not value:
                 errors.append(f'host block has empty "{key}"')
+        if host.get("cpu") == "unknown" or host.get("cores") == 0:
+            errors.append('host block has "unknown" cpu or 0 cores')
+    if doc.get("date") == "unknown":
+        errors.append('"date" is "unknown"')
 
     metrics = doc.get("metrics")
     if not isinstance(metrics, dict) or not metrics:

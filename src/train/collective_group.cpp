@@ -6,7 +6,6 @@ namespace recd::train {
 
 const char* ExchangeSpanName(Exchange exchange) {
   switch (exchange) {
-    case Exchange::kNone: return "exchange/none";
     case Exchange::kSdd: return "exchange/sdd";
     case Exchange::kEmb: return "exchange/emb";
     case Exchange::kGrad: return "exchange/grad";
@@ -35,8 +34,8 @@ CollectiveGroup::CollectiveGroup(std::size_t num_ranks,
   bytes_sent_.reserve(num_ranks * kNumTags);
   wait_us_.reserve(num_ranks * kNumTags);
   exchange_us_.reserve(num_ranks * kNumTags);
-  constexpr Exchange kTags[kNumTags] = {Exchange::kNone, Exchange::kSdd,
-                                        Exchange::kEmb, Exchange::kGrad,
+  constexpr Exchange kTags[kNumTags] = {Exchange::kSdd, Exchange::kEmb,
+                                        Exchange::kGrad,
                                         Exchange::kAllReduce};
   for (std::size_t r = 0; r < num_ranks; ++r) {
     for (const Exchange tag : kTags) {

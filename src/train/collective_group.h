@@ -91,13 +91,12 @@ class CollectiveGroup {
   /// included); the result's entry p is what peer p sent to this rank.
   /// Off-rank payload bytes are added to this rank's sent counter.
   /// `tag` names the trainer exchange this call implements — the fault
-  /// injector's match key; kNone for untagged collectives. Throws
+  /// injector's match key and the series' `exchange` label. Throws
   /// RankFailure when a peer misses the configured deadline (the group
   /// is aborted first so every survivor unwinds).
   template <typename T>
   [[nodiscard]] std::vector<std::vector<T>> AllToAll(
-      std::size_t rank, std::vector<std::vector<T>> send,
-      Exchange tag = Exchange::kNone) {
+      std::size_t rank, std::vector<std::vector<T>> send, Exchange tag) {
     if (send.size() != num_ranks_) {
       throw std::invalid_argument("CollectiveGroup::AllToAll: need one "
                                   "payload per rank");
@@ -157,7 +156,7 @@ class CollectiveGroup {
   [[nodiscard]] std::vector<T> AllReduceSum(
       std::size_t rank,
       const std::vector<std::pair<std::size_t, std::vector<T>>>& chunks,
-      std::size_t width, Exchange tag = Exchange::kNone) {
+      std::size_t width, Exchange tag) {
     // Frame: per chunk, [id, count] header then the data.
     std::vector<std::byte> frame;
     frame.reserve(chunks.size() *
@@ -246,7 +245,7 @@ class CollectiveGroup {
 
  private:
   using Mail = common::Channel<std::vector<std::byte>>;
-  static constexpr std::size_t kNumTags = 5;  // kNone..kAllReduce
+  static constexpr std::size_t kNumTags = 4;  // kSdd..kAllReduce
 
   [[nodiscard]] Mail& Mailbox(std::size_t src, std::size_t dst) {
     return *mail_[src * num_ranks_ + dst];

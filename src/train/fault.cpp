@@ -8,8 +8,6 @@ namespace recd::train {
 
 const char* ExchangeName(Exchange exchange) {
   switch (exchange) {
-    case Exchange::kNone:
-      return "none";
     case Exchange::kSdd:
       return "sdd";
     case Exchange::kEmb:
@@ -33,7 +31,6 @@ void FaultInjector::BeginStep(std::size_t step) {
 }
 
 void FaultInjector::MaybeInject(std::size_t rank, Exchange exchange) {
-  if (exchange == Exchange::kNone) return;
   std::chrono::milliseconds delay{0};
   bool kill = false;
   {

@@ -40,10 +40,8 @@ class RankFailure : public std::runtime_error {
 };
 
 /// The four executed exchanges of one training step (Fig 2), the
-/// injection points of kill/delay faults. kNone tags collectives
-/// outside the step loop (never matched by a fault).
+/// injection points of kill/delay faults. Every collective carries one.
 enum class Exchange : std::uint8_t {
-  kNone,
   kSdd,        // 1: sparse-id all-to-all
   kEmb,        // 2: pooled-row all-to-all
   kGrad,       // 3: mirror gradient all-to-all

@@ -107,6 +107,13 @@ const tensor::InverseKeyedJaggedTensor* FindGroupByFirstKey(
 
 common::Rng MakeRng(std::uint64_t seed) { return common::Rng(seed); }
 
+/// A 0-row batch has no mean loss; reject it before any layer sees it.
+void RequireRows(const reader::PreprocessedBatch& batch) {
+  if (batch.batch_size == 0) {
+    throw std::invalid_argument("ReferenceDlrm: empty batch");
+  }
+}
+
 }  // namespace
 
 ReferenceDlrm::ReferenceDlrm(ModelConfig model, std::uint64_t seed)
@@ -273,6 +280,7 @@ float ReferenceDlrm::TrainStep(const reader::PreprocessedBatch& batch,
   // chunk's rows, per-chunk gradient/loss partials, then a fixed-order
   // combine — the reduction tree the distributed all-reduce replays.
   const std::size_t batch_size = batch.batch_size;
+  RequireRows(batch);
   if (batch.dense.size() != batch_size * model_.dense_dim) {
     throw std::invalid_argument("ReferenceDlrm: dense size mismatch");
   }
@@ -414,6 +422,7 @@ float ReferenceDlrm::TrainStep(const reader::PreprocessedBatch& batch,
 }
 
 float ReferenceDlrm::EvalLoss(const reader::PreprocessedBatch& batch) {
+  RequireRows(batch);
   nn::DenseMatrix bottom = BottomForward(batch);
   PooledInputs pooled = PoolSparse(batch, /*recd=*/false,
                                    /*attention_ok=*/false);

@@ -81,10 +81,12 @@ class ReferenceDlrm {
   /// (attention backward is out of scope). Gradient and loss sums
   /// accumulate per canonical chunk (kGradChunks) and combine in fixed
   /// chunk order — the single-rank gold standard the distributed
-  /// trainer must match bitwise. Returns the batch loss.
+  /// trainer must match bitwise. Returns the batch loss. Throws
+  /// std::invalid_argument on an empty batch.
   float TrainStep(const reader::PreprocessedBatch& batch, float lr);
 
-  /// Mean BCE loss without updating parameters.
+  /// Mean BCE loss without updating parameters. Throws
+  /// std::invalid_argument on an empty batch.
   [[nodiscard]] float EvalLoss(const reader::PreprocessedBatch& batch);
 
   [[nodiscard]] const ModelConfig& model() const { return model_; }

@@ -3,6 +3,9 @@
 // runner's cross-system relations.
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <string>
+
 #include "core/characterize.h"
 #include "core/dedupe_model.h"
 #include "core/pipeline.h"
@@ -271,6 +274,44 @@ TEST_F(PipelineTest, RejectsInvalidOptionsAtConstruction) {
   opts = {};
   opts.num_scribe_shards = 0;
   EXPECT_THROW(make(opts), std::invalid_argument);
+}
+
+// The failure path of the stage graph: a throw on the consumer thread
+// closes every channel, all four stage threads join, and Run rethrows
+// the original exception. A stage left blocked would hang Run past the
+// ctest timeout instead of returning.
+TEST_F(PipelineTest, ObserverExceptionIsRethrownAfterStagesJoin) {
+  struct ObserverFailure : std::runtime_error {
+    using std::runtime_error::runtime_error;
+  };
+  for (const std::size_t num_threads : {1u, 4u}) {
+    auto spec = datagen::RmDataset(datagen::RmKind::kRm1, 0.08);
+    spec.concurrent_sessions = 256;
+    PipelineOptions opts;
+    opts.num_samples = 3000;
+    opts.samples_per_partition = 1000;
+    opts.max_trainer_batches = 2;
+    opts.num_threads = num_threads;
+    // Several windows, so the source, Scribe and ETL stages are still
+    // streaming when the consumer fails.
+    opts.window_ticks = 700;
+    std::size_t observed = 0;
+    opts.batch_observer = [&observed](const reader::PreprocessedBatch&) {
+      if (observed++ == 1) throw ObserverFailure("batch 1");
+    };
+    PipelineRunner runner(spec, RmModelForTest(spec), train::ZionEx(8),
+                          opts);
+    bool caught = false;
+    try {
+      (void)runner.Run(RecdConfig::Full(256));
+    } catch (const ObserverFailure& e) {
+      caught = std::string(e.what()) == "batch 1";
+    } catch (...) {
+    }
+    EXPECT_TRUE(caught) << "threads=" << num_threads;
+    // The consumer stopped at the throwing batch.
+    EXPECT_EQ(observed, 2u) << "threads=" << num_threads;
+  }
 }
 
 }  // namespace

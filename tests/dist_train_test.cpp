@@ -84,7 +84,8 @@ TEST(CollectiveGroupTest, AllToAllDeliversBySourceRank) {
       for (std::size_t p = 0; p < n; ++p) {
         send[p] = {static_cast<std::int64_t>(100 * r + p)};
       }
-      got[r] = group.AllToAll<std::int64_t>(r, std::move(send));
+      got[r] = group.AllToAll<std::int64_t>(r, std::move(send),
+                                           Exchange::kSdd);
     });
   }
   for (auto& t : threads) t.join();
@@ -105,7 +106,7 @@ TEST(CollectiveGroupTest, BytesCountOffRankPayloadOnly) {
       std::vector<std::vector<float>> send(2);
       send[0] = {1.0f, 2.0f};       // 8 bytes
       send[1] = {1.0f, 2.0f, 3.0f}; // 12 bytes
-      (void)group.AllToAll<float>(r, std::move(send));
+      (void)group.AllToAll<float>(r, std::move(send), Exchange::kEmb);
     });
   }
   for (auto& t : threads) t.join();
@@ -151,7 +152,8 @@ TEST(CollectiveGroupTest, AllReduceSumOrderDeterministicForAnyRankCount) {
         for (std::size_t c = (r + 1) * per; c-- > r * per;) {
           mine.emplace_back(c, data[c]);
         }
-        results[r] = group.AllReduceSum<float>(r, mine, width);
+        results[r] = group.AllReduceSum<float>(r, mine, width,
+                                               Exchange::kAllReduce);
       });
     }
     for (auto& t : threads) t.join();
@@ -169,7 +171,8 @@ TEST(CollectiveGroupTest, AllReduceRejectsDuplicateChunkIds) {
   CollectiveGroup group(1);
   std::vector<std::pair<std::size_t, std::vector<float>>> chunks = {
       {0, {1.0f}}, {0, {2.0f}}};
-  EXPECT_THROW((void)group.AllReduceSum<float>(0, chunks, 1),
+  EXPECT_THROW((void)group.AllReduceSum<float>(0, chunks, 1,
+                                               Exchange::kAllReduce),
                std::invalid_argument);
 }
 
@@ -186,7 +189,8 @@ TEST(CollectiveGroupTest, AllReduceRejectsChunksOfAnotherWidth) {
       const std::vector<std::pair<std::size_t, std::vector<float>>> mine = {
           {r, std::vector<float>(width, 1.0f)}};
       try {
-        (void)group.AllReduceSum<float>(r, mine, width);
+        (void)group.AllReduceSum<float>(r, mine, width,
+                                        Exchange::kAllReduce);
       } catch (const std::runtime_error&) {
         threw[r] = 1;
       }
@@ -207,15 +211,17 @@ TEST(CollectiveGroupTest, AbortUnblocksAStrandedRank) {
   CollectiveGroup group(2);
   std::thread t([&] {
     std::vector<std::vector<float>> send(2);
-    EXPECT_THROW((void)group.AllToAll<float>(0, std::move(send)),
-                 std::runtime_error);
+    EXPECT_THROW(
+        (void)group.AllToAll<float>(0, std::move(send), Exchange::kEmb),
+        std::runtime_error);
   });
   group.Abort();
   t.join();
   // The group stays poisoned: later collectives fail fast.
   std::vector<std::vector<float>> send(2);
-  EXPECT_THROW((void)group.AllToAll<float>(1, std::move(send)),
-               std::runtime_error);
+  EXPECT_THROW(
+      (void)group.AllToAll<float>(1, std::move(send), Exchange::kEmb),
+      std::runtime_error);
 }
 
 TEST(CollectiveGroupTest, DeadPeerRaisesRankFailureInsteadOfHanging) {
@@ -226,12 +232,15 @@ TEST(CollectiveGroupTest, DeadPeerRaisesRankFailureInsteadOfHanging) {
       2, CollectiveOptions{.peer_timeout = std::chrono::milliseconds(200)});
   std::vector<std::vector<float>> send(2);
   send[1] = {1.0f};
-  EXPECT_THROW((void)group.AllToAll<float>(0, std::move(send)), RankFailure);
+  EXPECT_THROW(
+      (void)group.AllToAll<float>(0, std::move(send), Exchange::kEmb),
+      RankFailure);
   // The deadline aborted the group, so a late peer fails fast instead
   // of waiting for a partner that already gave up.
   std::vector<std::vector<float>> late(2);
-  EXPECT_THROW((void)group.AllToAll<float>(1, std::move(late)),
-               std::runtime_error);
+  EXPECT_THROW(
+      (void)group.AllToAll<float>(1, std::move(late), Exchange::kEmb),
+      std::runtime_error);
 }
 
 // ------------------------------------------------------ EmbeddingShardView --
@@ -478,6 +487,18 @@ TEST(DistributedTrainerTest, RecdShipsStrictlyFewerSparseBytes) {
     // per-row grads / replicated dense grads — mode-independent.
     EXPECT_EQ(r.grad_bytes, b.grad_bytes);
     EXPECT_EQ(r.allreduce_bytes, b.allreduce_bytes);
+    // Every comm series is one of the four executed exchanges: three
+    // families x n ranks x 4 tags, and no untagged "none" series.
+    const auto comm = recd.comm_metrics().Snapshot();
+    EXPECT_EQ(comm.entries.size(), 3 * n * 4) << n << " ranks";
+    for (const auto& entry : comm.entries) {
+      for (const auto& [key, value] : entry.labels) {
+        if (key != "exchange") continue;
+        EXPECT_TRUE(value == "sdd" || value == "emb" || value == "grad" ||
+                    value == "allreduce")
+            << entry.SeriesName();
+      }
+    }
   }
 }
 

@@ -306,6 +306,16 @@ TEST(ReferenceDlrmTest, RecdPathRequiresIkjtBatch) {
   ReferenceDlrm dlrm(fx.model, 77);
   EXPECT_THROW((void)dlrm.Forward(fx.base_batch, /*recd=*/true),
                std::invalid_argument);
+  // A well-formed 0-row batch is rejected up front, as
+  // DistributedTrainer::Step rejects it: TrainStep used to return NaN
+  // (0/0 mean loss) and EvalLoss threw a misleading interaction error.
+  reader::PreprocessedBatch empty;
+  empty.dense_dim = fx.base_batch.dense_dim;
+  for (const auto& key : fx.base_batch.kjt.keys()) {
+    empty.kjt.AddFeature(key, tensor::JaggedTensor({}, {0}));
+  }
+  EXPECT_THROW((void)dlrm.TrainStep(empty, 0.05f), std::invalid_argument);
+  EXPECT_THROW((void)dlrm.EvalLoss(empty), std::invalid_argument);
 }
 
 TEST(ReferenceDlrmTest, TrainingReducesLoss) {

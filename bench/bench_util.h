@@ -274,17 +274,18 @@ class JsonReport {
   std::string setup_json_;  // {section: setup}, built by Section
 };
 
-/// Benchmark-scale pipeline for one RM. Batch sizes and GPU counts follow
-/// the paper divided by 8 (docs/ARCHITECTURE.md §1: shape, not absolute scale).
+/// Benchmark-scale pipeline for one RM. Batch sizes follow the paper
+/// divided by 8 (docs/ARCHITECTURE.md §1: shape, not absolute scale).
+/// Tables hold 20,000 rows (2,000 under RECD_SMOKE): the executed
+/// trainer allocates them, and the presets' 400k-800k rows would take
+/// about 8 GB (RM1) and 18 GB (RM2).
 struct RmBench {
   datagen::DatasetSpec spec;
   train::ModelConfig model;
-  train::ClusterSpec cluster;
   std::size_t baseline_batch = 256;
   std::size_t recd_batch = 256;
 
-  static RmBench Make(datagen::RmKind kind, std::size_t num_gpus,
-                      double scale = 0.2) {
+  static RmBench Make(datagen::RmKind kind, double scale = 0.2) {
     RmBench b;
     b.spec = datagen::RmDataset(kind, scale);
     // Interleave comfortably wider than the training batch (so baseline
@@ -292,7 +293,7 @@ struct RmBench {
     // at bench scale the two trade off through the sample budget.
     b.spec.concurrent_sessions = 512;
     b.model = train::RmModel(kind, b.spec);
-    b.cluster = train::ZionEx(num_gpus);
+    b.model.emb_hash_size = SmokeOr<std::size_t>(20'000, 2'000);
     switch (kind) {
       case datagen::RmKind::kRm1:
         b.baseline_batch = 256;  // paper: 2048
@@ -310,16 +311,18 @@ struct RmBench {
     return b;
   }
 
+  /// One landed partition of `num_samples`; each Run steps 11 full
+  /// batches (1 warm-up + 10 timed: single steps vary by up to ±30% on
+  /// a shared 4-core host, so the median needs several) on
+  /// `trainer_ranks` rank threads.
   [[nodiscard]] core::PipelineRunner MakeRunner(
-      std::size_t num_samples, double length_scale = 4.0) const {
+      std::size_t num_samples, std::size_t trainer_ranks = 2) const {
     core::PipelineOptions opts;
     opts.num_samples = num_samples;
     opts.samples_per_partition = num_samples;
-    opts.max_trainer_batches = 2;
-    // Restore paper magnitudes: rows x8 (batch 256 -> 2048), lengths x4
-    // (x12 for Table 2's full-length sequences).
-    opts.trainer_scale = {8.0, length_scale};
-    return core::PipelineRunner(spec, model, cluster, opts);
+    opts.max_trainer_batches = SmokeOr<std::size_t>(11, 2);
+    opts.trainer_ranks = trainer_ranks;
+    return core::PipelineRunner(spec, model, opts);
   }
 };
 

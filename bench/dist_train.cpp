@@ -1,8 +1,8 @@
 // Executed hybrid-parallel training: rank sweep x baseline/RecD
 // (docs/ARCHITECTURE.md §10).
 //
-// Unlike bench_paper's Fig 8 (the alpha-beta *simulator*),
-// this harness runs the real multi-rank trainer: N rank threads, the
+// Where bench_paper times this trainer inside whole pipeline runs, this
+// harness sweeps it alone: N rank threads, the
 // four collectives executed through train::CollectiveGroup, sharded
 // tables, replicated MLPs. Reported per configuration: mean step wall
 // time, bytes sent on every exchange, and the sparse-exchange dedupe

@@ -62,7 +62,7 @@ int main(int argc, char** argv) {
                                     datagen::RmKind::kRm2,
                                     datagen::RmKind::kRm3};
   for (int i = 0; i < 3; ++i) {
-    auto b = bench::RmBench::Make(kinds[i], 8);
+    auto b = bench::RmBench::Make(kinds[i]);
     datagen::TrafficGenerator gen(b.spec);
     const auto traffic = gen.Generate(bench::SmokeOr<std::size_t>(16'000, 1'500));
     auto samples = etl::JoinLogs(traffic.features, traffic.events);
@@ -123,7 +123,7 @@ int main(int argc, char** argv) {
   std::printf("%-8s %14s %10s\n", "workers", "rows/s", "speedup");
   bench::PrintRule();
   {
-    auto b = bench::RmBench::Make(datagen::RmKind::kRm1, 8);
+    auto b = bench::RmBench::Make(datagen::RmKind::kRm1);
     datagen::TrafficGenerator gen(b.spec);
     const auto traffic = gen.Generate(bench::SmokeOr<std::size_t>(16'000, 1'500));
     auto samples = etl::JoinLogs(traffic.features, traffic.events);

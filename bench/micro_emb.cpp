@@ -1,6 +1,6 @@
 // Trainer-op microbenchmarks with real math: embedding pooling and
 // attention over KJT (expanded) vs IKJT (deduplicated + expand) inputs —
-// the O5/O7 kernels the simulator's counters are calibrated against.
+// the O5/O7 kernels of the executed trainers.
 #include <benchmark/benchmark.h>
 
 #include "common/rng.h"

@@ -2,10 +2,10 @@
 // and Tables 3-4 read one set of runs (one RmBench setup per RM, each
 // distinct RecdConfig run once); Table 2 and single_node are separate
 // experiments. Each row prints beside the paper's value and lands in
-// BENCH_paper.json under its section's setup. Trainer values come from the
-// analytic TrainerSim; the last section times real TrainSteps.
+// BENCH_paper.json under its section's setup. Trainer rows time executed
+// train::DistributedTrainer steps (PipelineResult::trainer_*); the last
+// section times ReferenceDlrm TrainSteps per kernel backend.
 #include <cstdio>
-#include <future>
 #include <string>
 #include <utility>
 
@@ -14,6 +14,7 @@
 #include "datagen/generator.h"
 #include "etl/etl.h"
 #include "kernels/backend.h"
+#include "obs/obs.h"
 #include "reader/reader_pool.h"
 #include "reader/reader_tier.h"
 #include "storage/table.h"
@@ -41,13 +42,12 @@ RmRuns RunRm(const bench::RmBench& b, core::PipelineRunner& runner) {
   return runs;
 }
 
-/// RM1's further configurations (Fig 9, Tables 3 and 4).
+/// RM1's further configurations (Fig 9, Tables 3 and 4). O1+O2+O3 at
+/// B256 is Full(256), RM1's same-batch run.
 struct Rm1Ablation {
-  PipelineResult o1;        // O1: session-sharded Scribe, batch 256
-  PipelineResult o1_o2;     // +O2 clustered table, KJTs (Fig 9's CT)
-  PipelineResult o1_o2_o3;  // +O3/O4 IKJT readers, baseline trainer
-  PipelineResult de_jis;    // Full(512) without dedup compute (O5+O6)
-  PipelineResult full512;   // Full(512): +O7 dedup compute
+  PipelineResult o1;       // O1: session-sharded Scribe, batch 256
+  PipelineResult o1_o2;    // +O2 clustered table, KJTs (Fig 9's CT)
+  PipelineResult full512;  // Full(512)
 };
 
 Rm1Ablation RunRm1Ablation(core::PipelineRunner& runner) {
@@ -55,21 +55,17 @@ Rm1Ablation RunRm1Ablation(core::PipelineRunner& runner) {
   o1.shard_by_session = true;
   auto o2 = o1;
   o2.cluster_by_session = true;
-  auto o3 = o2;
-  o3.use_ikjt = true;
-  auto de_jis = RecdConfig::Full(512);
-  de_jis.trainer.dedup_compute = false;
-  return {runner.Run(o1), runner.Run(o2), runner.Run(o3),
-          runner.Run(de_jis), runner.Run(RecdConfig::Full(512))};
+  return {runner.Run(o1), runner.Run(o2), runner.Run(RecdConfig::Full(512))};
 }
 
 /// Figs 7-9 and Tables 3-4, all read from the shared runs.
 void SharedSections(bench::JsonReport& out, const RmRuns (&rms)[3],
                     const Rm1Ablation& ab, std::size_t samples) {
   out.Section("fig7", "Figure 7: end-to-end RecD gains vs baseline",
-              "RM1/RM2/RM3 on 48/48/64 GPUs, " + std::to_string(samples) +
-                  " samples, RmBench::MakeRunner; Baseline B256/256/144 vs "
-                  "full RecD B768/256/256 (paper batches / 8)");
+              "RM1/RM2/RM3, " + std::to_string(samples) +
+                  " samples, RmBench::MakeRunner (2 trainer ranks, median "
+                  "of the timed steps); Baseline B256/256/144 vs full RecD "
+                  "B768/256/256 (paper batches / 8)");
   const double paper[3][3] = {
       {2.48, 1.79, 3.71}, {1.25, 1.38, 3.71}, {1.43, 1.36, 2.06}};
   for (int i = 0; i < 3; ++i) {
@@ -96,36 +92,40 @@ void SharedSections(bench::JsonReport& out, const RmRuns (&rms)[3],
     }
   }
 
-  out.Section("fig8", "Figure 8: iteration latency breakdown (same batch)",
+  out.Section("fig8", "Figure 8: iteration time and exchange share",
               "fig7's runs; full RecD at each RM's baseline batch; shares "
-              "of the baseline iteration time");
+              "of the baseline step time; exchange = wall time per rank "
+              "of the SDD, embedding and gradient all-to-alls plus the "
+              "MLP all-reduce");
   for (int i = 0; i < 3; ++i) {
-    const auto& base = rms[i].base.trainer;
-    const auto& recd = rms[i].same_batch.trainer;
+    const auto& base = rms[i].base;
+    const auto& recd = rms[i].same_batch;
     const std::string rm = "rm" + std::to_string(i + 1) + "_";
-    const double pct = 100 / base.total_s();
-    for (const auto& [config, it] :
+    const double pct = 100 / base.trainer_step_s;
+    for (const auto& [config, r] :
          {std::pair{"baseline_", &base}, std::pair{"recd_", &recd}}) {
-      const std::string key = rm + config;
-      out.Row(key + "emb_pct", it->emb_s * pct, "%");
-      out.Row(key + "gemm_pct", it->gemm_s * pct, "%");
-      out.Row(key + "a2a_pct", it->a2a_exposed_s * pct, "%");
-      out.Row(key + "other_pct", it->other_s * pct, "%");
-      out.Row(key + "total_pct", it->total_s() * pct, "%");
+      out.Row(rm + config + "exchange_pct", 1e-6 * r->trainer_exchange_us * pct,
+              "%");
+      out.Row(rm + config + "total_pct", r->trainer_step_s * pct, "%");
     }
-    out.Row(rm + "a2a_exposed_ratio",
-            recd.a2a_exposed_s / base.a2a_exposed_s, "x", 0.5);
-    out.Row(rm + "iteration_time_ratio", recd.total_s() / base.total_s(), "x");
+    out.Row(rm + "exchange_time_ratio",
+            recd.trainer_exchange_us / base.trainer_exchange_us, "x", 0.5);
+    out.Row(rm + "exchange_bytes_ratio",
+            1.0 * recd.trainer_exchange.total_bytes() /
+                base.trainer_exchange.total_bytes(),
+            "x");
+    out.Row(rm + "iteration_time_ratio",
+            recd.trainer_step_s / base.trainer_step_s, "x");
   }
 
   const auto& rm1 = rms[0];
   const auto& base = rm1.base;
+  const auto& o1_o2_o3 = rm1.same_batch;
   out.Section("fig9", "Figure 9: RM1 ablation (normalized throughput)",
-              "fig7's RM1 runs; CT = Baseline(256) + O1 + O2, DE+JIS = "
-              "Full(512) without dedup compute; normalized to CT");
+              "fig7's RM1 runs; CT = Baseline(256) + O1 + O2; normalized "
+              "to CT");
   const double ct = ab.o1_o2.trainer_qps;
   out.Row("ct", 1.0, "x", 1.0);
-  out.Row("de_jis_b512", ab.de_jis.trainer_qps / ct, "x", 1.34);
   out.Row("dedup_compute_b512", ab.full512.trainer_qps / ct, "x", 2.42);
   out.Row("b768", rm1.recd.trainer_qps / ct, "x", 2.48);
 
@@ -134,7 +134,7 @@ void SharedSections(bench::JsonReport& out, const RmRuns (&rms)[3],
   const auto& io = base.reader_io;
   for (const auto& [name, r] :
        {std::pair{"baseline_", &io}, std::pair{"o1_o2_", &ab.o1_o2.reader_io},
-        std::pair{"o1_o2_o3_", &ab.o1_o2_o3.reader_io}}) {
+        std::pair{"o1_o2_o3_", &o1_o2_o3.reader_io}}) {
     out.Row(std::string(name) + "read_mb", r->bytes_read / 1e6, "MB");
     out.Row(std::string(name) + "send_mb", r->bytes_sent / 1e6, "MB");
   }
@@ -142,17 +142,16 @@ void SharedSections(bench::JsonReport& out, const RmRuns (&rms)[3],
           1.0 * io.bytes_read / ab.o1_o2.reader_io.bytes_read, "x",
           538.0 / 179.0);
   out.Row("send_ratio_baseline_over_ikjt",
-          1.0 * io.bytes_sent / ab.o1_o2_o3.reader_io.bytes_sent, "x",
+          1.0 * io.bytes_sent / o1_o2_o3.reader_io.bytes_sent, "x",
           837.0 / 713.0);
 
   out.Section("table4", "Table 4: per-optimization impact summary (RM1)",
-              "fig7's RM1 runs; O5+O6 = Full(512) without dedup compute, "
-              "O7 = Full(768)");
+              "fig7's RM1 runs; O7 = Full(768)");
   const auto change = [](double now, double before) {
     return 100 * (now / before - 1);
   };
   const auto& t2 = ab.o1_o2.reader_times;
-  const auto& t3 = ab.o1_o2_o3.reader_times;
+  const auto& t3 = o1_o2_o3.reader_times;
   out.Row("o1_scribe_compression", ab.o1.scribe_compression_ratio, "x", 2.25);
   out.Row("baseline_scribe_compression", base.scribe_compression_ratio, "x",
           1.50);
@@ -164,71 +163,50 @@ void SharedSections(bench::JsonReport& out, const RmRuns (&rms)[3],
           "%", -50);
   out.Row("o3_convert_change", change(t3.convert_s, t2.convert_s), "%", 21);
   out.Row("o4_process_change", change(t3.process_s, t2.process_s), "%", -13);
-  out.Row("o5_o6_trainer_speedup_b512",
-          ab.de_jis.trainer_qps / base.trainer_qps, "x", 1.34);
   out.Row("o7_trainer_speedup_b768", rm1.recd.trainer_qps / base.trainer_qps,
           "x", 2.48);
 }
 
 /// Table 2 and single_node: separate experiments with their own runners.
 void OwnSetups(bench::JsonReport& out) {
-  auto b = bench::RmBench::Make(datagen::RmKind::kRm1, 48);
-  b.model.emb_hash_size /= 8;
-  const std::size_t table2_samples = bench::SmokeOr<std::size_t>(8'000, 1'000);
-  const auto probe = b.MakeRunner(table2_samples, /*length_scale=*/12.0)
-                         .Run(RecdConfig::Baseline(256))
-                         .trainer;
-  b.cluster.gpu.hbm_bytes =
-      (probe.static_mem_bytes + probe.dynamic_mem_bytes) / 0.999;
-  auto runner = b.MakeRunner(table2_samples, /*length_scale=*/12.0);
+  const auto b = bench::RmBench::Make(datagen::RmKind::kRm1);
+  const std::size_t table2_samples =
+      bench::SmokeOr<std::size_t>(10'000, 2'000);
+  auto runner = b.MakeRunner(table2_samples);
   auto d2x = RecdConfig::Full(256);
   d2x.emb_dim_override = b.model.emb_dim * 2;
   const PipelineResult rows[4] = {
       runner.Run(RecdConfig::Baseline(256)), runner.Run(RecdConfig::Full(256)),
       runner.Run(d2x), runner.Run(RecdConfig::Full(768))};
-  out.Section("table2", "Table 2: RM1 trainer resource utilization",
-              "RM1, 48 GPUs, " + std::to_string(table2_samples) +
-                  " samples, emb_hash_size/8, lengths x12 so activations "
-                  "dominate, HBM calibrated so Baseline(256) peaks at 99.9% "
-                  "(docs/ARCHITECTURE.md §1). Long sequences amplify O7, so "
-                  "QPS/eff overshoot the paper");
+  out.Section("table2", "Table 2: RM1 trainer throughput",
+              "RM1, " + std::to_string(table2_samples) +
+                  " samples, RmBench::MakeRunner (2 trainer ranks); QPS "
+                  "normalized to Baseline(256)");
   const struct {
     const char* key;
-    double qps, max_mem, avg_mem, eff;
-  } paper[4] = {{"baseline_", 1.00, 99.90, 72.83, 1.00},
-                {"recd_", 1.89, 27.76, 22.20, 1.73},
-                {"recd_emb_d2x_", 1.55, 40.87, 31.17, 1.92},
-                {"recd_b768_", 2.26, 91.78, 51.55, 2.12}};
-  const auto& base = rows[0].trainer;
+    double qps;
+  } paper[4] = {{"baseline_", 1.00},
+                {"recd_", 1.89},
+                {"recd_emb_d2x_", 1.55},
+                {"recd_b768_", 2.26}};
   for (int i = 0; i < 4; ++i) {
-    const auto& r = rows[i].trainer;
-    const std::string key = paper[i].key;
-    out.Row(key + "norm_qps", r.qps / base.qps, "x", paper[i].qps);
-    out.Row(key + "max_mem_pct", 100 * r.mem_util_max, "%", paper[i].max_mem);
-    out.Row(key + "avg_mem_pct", 100 * r.mem_util_avg, "%", paper[i].avg_mem);
-    out.Row(key + "norm_eff",
-            r.logical_flops_per_gpu / base.logical_flops_per_gpu, "x",
-            paper[i].eff);
+    out.Row(std::string(paper[i].key) + "norm_qps",
+            rows[i].trainer_qps / rows[0].trainer_qps, "x", paper[i].qps);
   }
-  out.Row("calibrated_hbm_gb", b.cluster.gpu.hbm_bytes / 1e9, "GB");
 
-  auto node = bench::RmBench::Make(datagen::RmKind::kRm1, 8);
-  node.model.emb_hash_size /= 4;
-  const std::size_t samples = bench::SmokeOr<std::size_t>(6'000, 1'000);
-  auto node_runner = node.MakeRunner(samples);
-  const auto base1 = node_runner.Run(RecdConfig::Baseline(256)).trainer;
-  const auto recd1 = node_runner.Run(RecdConfig::Full(512)).trainer;
-  out.Section("single_node", "Single-node training (RM1 downsized)",
-              "RM1 downsized to one 8-GPU NVLink node (emb_hash_size/4), " +
-                  std::to_string(samples) +
+  const auto node = bench::RmBench::Make(datagen::RmKind::kRm1);
+  const std::size_t samples = bench::SmokeOr<std::size_t>(7'000, 1'500);
+  auto node_runner = node.MakeRunner(samples, /*trainer_ranks=*/1);
+  const auto base1 = node_runner.Run(RecdConfig::Baseline(256));
+  const auto recd1 = node_runner.Run(RecdConfig::Full(512));
+  out.Section("single_node", "Single-node training (RM1, one rank)",
+              "RM1 on one trainer rank, " + std::to_string(samples) +
                   " samples, RmBench::MakeRunner; Baseline(256) vs "
                   "Full(512)");
-  out.Row("trainer_speedup", recd1.qps / base1.qps, "x", 2.18);
-  out.Row("a2a_exposed_baseline_ms", 1e3 * base1.a2a_exposed_s, "ms");
-  out.Row("a2a_exposed_recd_ms", 1e3 * recd1.a2a_exposed_s, "ms");
-  out.Row("lookup_ratio", base1.lookups / recd1.lookups, "x");
-  out.Row("dynamic_mem_ratio",
-          base1.dynamic_mem_bytes / recd1.dynamic_mem_bytes, "x");
+  out.Row("trainer_speedup", recd1.trainer_qps / base1.trainer_qps, "x",
+          2.18);
+  out.Row("sparse_dedupe_factor",
+          recd1.trainer_exchange.exchange_dedupe_factor(), "x");
 }
 
 /// Fig 8's measured companion: real TrainSteps on this host, scalar vs
@@ -238,7 +216,7 @@ bool MeasuredTrainStep(bench::JsonReport& out) {
       datagen::RmDataset(datagen::RmKind::kRm1, bench::SmokeOr(0.2, 0.05));
   spec.concurrent_sessions = 64;
   auto model = train::RmModel(datagen::RmKind::kRm1, spec);
-  model.emb_hash_size = 20'000;
+  model.emb_hash_size = bench::SmokeOr<std::size_t>(20'000, 2'000);
   const std::size_t samples = bench::SmokeOr<std::size_t>(2'048, 128);
   const auto traffic = datagen::TrafficGenerator(spec).Generate(samples);
   auto rows = etl::JoinLogs(traffic.features, traffic.events);
@@ -261,7 +239,8 @@ bool MeasuredTrainStep(bench::JsonReport& out) {
     return sw.seconds() / steps;
   };
   out.Section("fig8.train_step", "Measured TrainStep: scalar vs vectorized",
-              "ReferenceDlrm RM1, hash 20000, first batch of " +
+              "ReferenceDlrm RM1, hash " +
+                  std::to_string(model.emb_hash_size) + ", first batch of " +
                   std::to_string(batch_size) + " clustered rows, " +
                   std::to_string(steps) + " steps per backend");
   for (const bool use_ikjt : {false, true}) {
@@ -298,29 +277,27 @@ int main(int argc, char** argv) {
   report.SetHostField("num_threads", 1);
   // Which kernel backend the measured paths dispatched to (§12).
   report.SetHostField("avx2", kernels::VectorizedAvailable() ? 1 : 0);
+  // Fig 8 reads the trainers' exchange wall time, which is recorded only
+  // with obs timing on; every counter is the same either way.
+  obs::ObsOptions obs_options;
+  obs_options.enabled = true;
+  obs::Configure(obs_options);
 
-  // A pipeline Run keeps about one core busy: the shared runs go to two
-  // threads while Table 2 and single_node run (and print) here. Their
-  // runners generate traffic first, on this thread alone:
-  // std::poisson_distribution calls lgamma, which writes the global
-  // signgam. The timed TrainStep section runs alone at the end.
-  const std::size_t samples = bench::SmokeOr<std::size_t>(24'000, 1'500);
-  const auto rm1 = bench::RmBench::Make(datagen::RmKind::kRm1, 48);
-  const auto rm2 = bench::RmBench::Make(datagen::RmKind::kRm2, 48);
-  const auto rm3 = bench::RmBench::Make(datagen::RmKind::kRm3, 64);
-  auto rm1_runner = rm1.MakeRunner(samples);
-  auto rm2_runner = rm2.MakeRunner(samples);
-  auto rm3_runner = rm3.MakeRunner(samples);
-  auto rm1_runs = std::async(std::launch::async, [&] {
-    return std::pair{RunRm(rm1, rm1_runner), RunRm1Ablation(rm1_runner)};
-  });
-  auto rm23_runs = std::async(std::launch::async, [&] {
-    return std::pair{RunRm(rm2, rm2_runner), RunRm(rm3, rm3_runner)};
-  });
+  // Runs go one after another: a run's timed trainer steps must not
+  // share the cores with another run's stages or steps.
   OwnSetups(report);
-  const auto [rm1_main, ablation] = rm1_runs.get();
-  const auto [rm2_main, rm3_main] = rm23_runs.get();
-  const RmRuns rms[3] = {rm1_main, rm2_main, rm3_main};
+  const std::size_t samples = bench::SmokeOr<std::size_t>(24'000, 2'000);
+  const datagen::RmKind kinds[3] = {datagen::RmKind::kRm1,
+                                    datagen::RmKind::kRm2,
+                                    datagen::RmKind::kRm3};
+  RmRuns rms[3];
+  Rm1Ablation ablation;
+  for (int i = 0; i < 3; ++i) {
+    const auto b = bench::RmBench::Make(kinds[i]);
+    auto runner = b.MakeRunner(samples);
+    rms[i] = RunRm(b, runner);
+    if (i == 0) ablation = RunRm1Ablation(runner);
+  }
   SharedSections(report, rms, ablation, samples);
   if (!MeasuredTrainStep(report)) return 1;
   return report.WriteIfRequested(argc, argv) ? 0 : 1;

@@ -40,7 +40,7 @@ int main(int argc, char** argv) {
   core::PipelineOptions opts;
   opts.num_samples = bench::SmokeOr<std::size_t>(16'000, 2'000);
   opts.samples_per_partition = 4'000;
-  opts.max_trainer_batches = 2;
+  opts.max_trainer_batches = 0;  // no trainer field is read
 
   // The default window covers the whole dataset: the batch pipeline.
   const std::int64_t kFull = core::PipelineOptions{}.window_ticks;
@@ -53,7 +53,7 @@ int main(int argc, char** argv) {
   std::vector<core::PipelineResult> results;
   for (const auto w : windows) {
     opts.window_ticks = w;
-    core::PipelineRunner runner(spec, model, train::ZionEx(8), opts);
+    core::PipelineRunner runner(spec, model, opts);
     results.push_back(runner.Run(core::RecdConfig::Full(256)));
     if (w == kFull) {
       full_stored = static_cast<double>(results.back().stored_bytes);

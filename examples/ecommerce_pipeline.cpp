@@ -1,7 +1,7 @@
 // End-to-end e-commerce scenario (the paper's motivating example): a
 // shopper's session generates many impressions whose cart features
 // rarely change. The example runs the full pipeline — traffic, Scribe,
-// ETL, columnar storage, readers, trainer simulation — once as the
+// ETL, columnar storage, readers, executed trainer — once as the
 // baseline and once with every RecD optimization, and prints the
 // end-to-end savings.
 #include <cstdio>
@@ -60,8 +60,7 @@ int main() {
   core::PipelineOptions opts;
   opts.num_samples = 12'000;
   opts.samples_per_partition = 12'000;
-  opts.trainer_scale = {8.0, 4.0};
-  core::PipelineRunner runner(spec, model, train::ZionEx(16), opts);
+  core::PipelineRunner runner(spec, model, opts);
 
   const auto base = runner.Run(core::RecdConfig::Baseline(256));
   const auto recd = runner.Run(core::RecdConfig::Full(256));
@@ -82,7 +81,7 @@ int main() {
   std::printf("%-38s %12.1f %12.1f\n", "reader MB sent to trainers",
               base.reader_io.bytes_sent / 1e6,
               recd.reader_io.bytes_sent / 1e6);
-  std::printf("%-38s %12.0f %12.0f\n", "trainer samples/s (simulated)",
+  std::printf("%-38s %12.0f %12.0f\n", "trainer samples/s (executed)",
               base.trainer_qps, recd.trainer_qps);
   std::printf("%-38s %12s %12.2f\n", "measured dedupe factor", "-",
               recd.mean_dedupe_factor);

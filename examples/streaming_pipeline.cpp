@@ -25,23 +25,22 @@ int main() {
   spec.mean_session_size = 12.0;
   auto model = train::RmModel(datagen::RmKind::kRm1, spec);
   model.emb_hash_size = 10'000;
-  const auto cluster = train::ZionEx(8);
 
   core::PipelineOptions opts;
   opts.num_samples = 6000;
   opts.samples_per_partition = 2000;
-  opts.max_trainer_batches = 2;
+  opts.max_trainer_batches = 0;  // no trainer field is read
   const auto config = core::RecdConfig::Full(256);
 
   // ---- Act 1: the default run vs a windowed run. --------------------
   std::printf("== Act 1: whole-dataset window vs window=1000 ==\n");
-  core::PipelineRunner whole_runner(spec, model, cluster, opts);
+  core::PipelineRunner whole_runner(spec, model, opts);
   const auto whole = whole_runner.Run(config);
 
   core::PipelineOptions windowed = opts;
   windowed.window_ticks = 1000;
   windowed.reorder_ticks = 40;
-  core::PipelineRunner stream_runner(spec, model, cluster, windowed);
+  core::PipelineRunner stream_runner(spec, model, windowed);
   const auto streamed = stream_runner.Run(config);
 
   std::printf("  %-28s %14s %14s\n", "counter", "whole", "windowed");

@@ -1,19 +1,24 @@
 #include "core/pipeline.h"
 
 #include <algorithm>
+#include <cstdint>
 #include <exception>
 #include <mutex>
 #include <optional>
 #include <stdexcept>
+#include <string>
 #include <thread>
 #include <utility>
+#include <vector>
 
 #include "common/channel.h"
+#include "common/stopwatch.h"
 #include "common/thread_pool.h"
+#include "obs/metrics.h"
 #include "stream/stream_scribe.h"
 #include "stream/tailing_reader.h"
 #include "stream/traffic_source.h"
-#include "train/model.h"
+#include "train/reference.h"
 
 namespace recd::core {
 namespace {
@@ -21,77 +26,64 @@ namespace {
 // Hand-off depths between the stage threads.
 constexpr std::size_t kMessageChannelCapacity = 1024;  // source→scribe→etl
 constexpr std::size_t kWindowChannelCapacity = 4;      // etl→reader
-constexpr std::size_t kPrefetchBatches = 4;            // reader→trainer
+constexpr std::size_t kPrefetchBatches = 4;            // reader→consumer
 
-/// Accumulates the trainer-side measurements of PipelineResult from the
-/// stream of preprocessed batches: samples/session within batches,
-/// measured dedupe factor, and the simulated training iterations.
+// The executed trainer's fixed settings: every Run starts from the same
+// weights, so first-step losses compare across configs.
+constexpr std::uint64_t kTrainerSeed = 42;
+constexpr float kTrainerLr = 0.05f;
+
+/// Sum of one comm series over every rank and exchange tag.
+double SeriesTotal(const obs::MetricsSnapshot& snapshot,
+                   const std::string& name) {
+  double total = 0;
+  for (const auto& e : snapshot.entries) {
+    if (e.name == name) total += static_cast<double>(e.value);
+  }
+  return total;
+}
+
+/// The trainer side of PipelineResult, from the stream of preprocessed
+/// batches: samples/session within batches and the measured dedupe
+/// factor over every batch, plus the first `max_trainer_batches` full
+/// batches kept for the executed trainer.
 class BatchConsumer {
  public:
-  /// `model` must already carry any emb_dim_override.
-  BatchConsumer(const train::ModelConfig& model,
-                const train::ClusterSpec& cluster, const RecdConfig& config,
-                const train::ShapeScale& scale,
-                std::size_t max_trainer_batches);
+  BatchConsumer(std::size_t batch_size, std::size_t max_trainer_batches)
+      : batch_size_(batch_size), max_batches_(max_trainer_batches) {}
 
-  void Consume(const reader::PreprocessedBatch& batch);
+  void Consume(reader::PreprocessedBatch batch);
 
   /// Writes the consumed measurements plus the reader's final stats
   /// into `result` (batch_samples_per_session, mean_dedupe_factor,
-  /// reader_times/io/rows-per-second, trainer breakdown and QPS).
+  /// reader_times/io/rows-per-second).
   void Finalize(const reader::StageTimes& times,
                 const reader::ReaderIoStats& io,
                 PipelineResult& result) const;
 
+  /// Steps the kept batches on a fresh DistributedTrainer (`model`
+  /// carries any emb_dim_override) and writes the trainer fields of
+  /// `result`. The first step is an untimed warm-up.
+  void Train(const train::ModelConfig& model, bool recd,
+             std::size_t num_ranks, PipelineResult& result) const;
+
  private:
-  train::TrainerSim trainer_;
   std::size_t batch_size_;
   std::size_t max_batches_;
-  std::size_t num_gpus_;
   double spc_sum_ = 0;
   double values_before_ = 0;
   double values_after_ = 0;
-  std::size_t iterations_ = 0;
-  train::IterationBreakdown accum_;
+  std::vector<reader::PreprocessedBatch> kept_;
 };
 
-BatchConsumer::BatchConsumer(const train::ModelConfig& model,
-                             const train::ClusterSpec& cluster,
-                             const RecdConfig& config,
-                             const train::ShapeScale& scale,
-                             std::size_t max_trainer_batches)
-    : trainer_(model, cluster, config.trainer, scale),
-      batch_size_(config.batch_size),
-      max_batches_(max_trainer_batches),
-      num_gpus_(cluster.num_gpus) {}
-
-void BatchConsumer::Consume(const reader::PreprocessedBatch& batch) {
+void BatchConsumer::Consume(reader::PreprocessedBatch batch) {
   spc_sum_ += batch.SamplesPerSession();
   for (const auto& stats : batch.group_stats) {
     values_before_ += static_cast<double>(stats.values_before);
     values_after_ += static_cast<double>(stats.values_after);
   }
-  if (iterations_ < max_batches_ && batch.batch_size == batch_size_) {
-    const auto it = trainer_.SimulateIteration(batch);
-    if (iterations_ == 0) {
-      accum_ = it;
-    } else {
-      accum_.emb_s += it.emb_s;
-      accum_.gemm_s += it.gemm_s;
-      accum_.a2a_exposed_s += it.a2a_exposed_s;
-      accum_.other_s += it.other_s;
-      accum_.a2a_raw_s += it.a2a_raw_s;
-      accum_.sdd_bytes += it.sdd_bytes;
-      accum_.emb_a2a_bytes += it.emb_a2a_bytes;
-      accum_.lookups += it.lookups;
-      accum_.flops += it.flops;
-      accum_.flops_logical += it.flops_logical;
-      accum_.mem_util_max = std::max(accum_.mem_util_max, it.mem_util_max);
-      accum_.mem_util_avg += it.mem_util_avg;
-      accum_.dynamic_mem_bytes =
-          std::max(accum_.dynamic_mem_bytes, it.dynamic_mem_bytes);
-    }
-    ++iterations_;
+  if (kept_.size() < max_batches_ && batch.batch_size == batch_size_) {
+    kept_.push_back(std::move(batch));
   }
 }
 
@@ -107,35 +99,45 @@ void BatchConsumer::Finalize(const reader::StageTimes& times,
   result.reader_io = io;
   // The tailing reader runs its stages back to back on one thread, so
   // wall_s is their sum: reader work alone, without the upstream
-  // Scribe/ETL/land time it waits on or the trainer sim's time between
-  // batches.
+  // Scribe/ETL/land time it waits on.
   result.reader_rows_per_second =
       times.wall_s == 0 ? 0.0
                         : static_cast<double>(io.rows_read) / times.wall_s;
+}
 
-  if (iterations_ > 0) {
-    auto accum = accum_;
-    const double inv = 1.0 / static_cast<double>(iterations_);
-    accum.emb_s *= inv;
-    accum.gemm_s *= inv;
-    accum.a2a_exposed_s *= inv;
-    accum.other_s *= inv;
-    accum.a2a_raw_s *= inv;
-    accum.sdd_bytes *= inv;
-    accum.emb_a2a_bytes *= inv;
-    accum.lookups *= inv;
-    accum.flops *= inv;
-    accum.flops_logical *= inv;
-    accum.mem_util_avg *= iterations_ > 1 ? inv : 1.0;
-    accum.qps = accum.global_batch_rows / accum.total_s();
-    accum.achieved_flops_per_gpu =
-        accum.flops / accum.total_s() / static_cast<double>(num_gpus_);
-    accum.logical_flops_per_gpu =
-        accum.flops_logical / accum.total_s() /
-        static_cast<double>(num_gpus_);
-    result.trainer = accum;
-    result.trainer_qps = accum.qps;
+void BatchConsumer::Train(const train::ModelConfig& model, bool recd,
+                          std::size_t num_ranks,
+                          PipelineResult& result) const {
+  if (kept_.empty()) return;
+  train::DistributedTrainer trainer(
+      model, train::DistributedConfig{.num_ranks = num_ranks,
+                                      .recd = recd,
+                                      .lr = kTrainerLr,
+                                      .seed = kTrainerSeed});
+  result.trainer_first_loss = trainer.Step(kept_.front());
+  const double exchange_us_before =
+      SeriesTotal(trainer.comm_metrics().Snapshot(), "comm.exchange_us");
+  std::vector<double> step_s;
+  for (std::size_t i = 1; i < kept_.size(); ++i) {
+    common::Stopwatch sw;
+    sw.Start();
+    (void)trainer.Step(kept_[i]);
+    sw.Stop();
+    step_s.push_back(sw.seconds());
   }
+  result.trainer_exchange = trainer.TotalCounters();
+  if (step_s.empty()) return;
+  std::sort(step_s.begin(), step_s.end());
+  const std::size_t mid = step_s.size() / 2;
+  result.trainer_step_s = step_s.size() % 2 == 1
+                              ? step_s[mid]
+                              : (step_s[mid - 1] + step_s[mid]) / 2;
+  result.trainer_qps =
+      static_cast<double>(batch_size_) / result.trainer_step_s;
+  result.trainer_exchange_us =
+      (SeriesTotal(trainer.comm_metrics().Snapshot(), "comm.exchange_us") -
+       exchange_us_before) /
+      static_cast<double>(num_ranks * step_s.size());
 }
 
 }  // namespace
@@ -160,6 +162,12 @@ void ValidatePipelineOptions(const PipelineOptions& options) {
   if (options.reorder_ticks < 0) {
     throw std::invalid_argument(
         "PipelineOptions: reorder_ticks must be >= 0");
+  }
+  if (options.trainer_ranks == 0 ||
+      train::kGradChunks % options.trainer_ranks != 0) {
+    throw std::invalid_argument(
+        "PipelineOptions: trainer_ranks must divide train::kGradChunks (" +
+        std::to_string(train::kGradChunks) + ")");
   }
 }
 
@@ -194,11 +202,9 @@ storage::StorageSchema MakePipelineSchema(
 
 PipelineRunner::PipelineRunner(datagen::DatasetSpec dataset,
                                train::ModelConfig model,
-                               train::ClusterSpec cluster,
                                PipelineOptions options)
     : dataset_(std::move(dataset)),
       model_(std::move(model)),
-      cluster_(cluster),
       options_(std::move(options)) {
   ValidatePipelineOptions(options_);
   datagen::TrafficGenerator generator(dataset_);
@@ -338,12 +344,11 @@ PipelineResult PipelineRunner::Run(const RecdConfig& config) {
     batches.Close();
   });
 
-  BatchConsumer consumer(model, cluster_, config, options_.trainer_scale,
-                         options_.max_trainer_batches);
+  BatchConsumer consumer(config.batch_size, options_.max_trainer_batches);
   try {
     while (auto batch = batches.Pop()) {
       if (options_.batch_observer) options_.batch_observer(*batch);
-      consumer.Consume(*batch);
+      consumer.Consume(std::move(*batch));
     }
   } catch (...) {
     fail(std::current_exception());
@@ -391,6 +396,8 @@ PipelineResult PipelineRunner::Run(const RecdConfig& config) {
       after == 0 ? 1.0
                  : static_cast<double>(before) / static_cast<double>(after);
   result.windows = etl.windows();
+
+  consumer.Train(model, config.use_ikjt, options_.trainer_ranks, result);
   return result;
 }
 

@@ -23,7 +23,8 @@
 #include "scribe/scribe.h"
 #include "storage/table.h"
 #include "stream/windowed_etl.h"
-#include "train/trainer_sim.h"
+#include "train/distributed.h"
+#include "train/model.h"
 
 namespace recd::core {
 
@@ -32,12 +33,14 @@ namespace recd::core {
 struct RecdConfig {
   bool shard_by_session = true;    // O1 (Scribe shard key)
   bool cluster_by_session = true;  // O2 (ETL clustering)
-  bool use_ikjt = true;            // O3 (+O4: dedup preprocessing)
+  /// O3 (+O4: dedup preprocessing). The trainer follows it: IKJT
+  /// batches train on the dedup path (O5-O7 together), KJT batches on
+  /// the baseline path.
+  bool use_ikjt = true;
   /// §7 "Boosting Dedupe Factors": per-session downsampling preserves S
   /// where per-sample downsampling destroys it.
   etl::DownsampleMode downsample = etl::DownsampleMode::kNone;
   double downsample_keep_rate = 1.0;
-  train::TrainerFlags trainer = train::TrainerFlags::Recd();  // O5-O7
   std::size_t batch_size = 2048;
   std::optional<std::size_t> emb_dim_override;  // Table 2's EMB D256 row
 
@@ -46,7 +49,6 @@ struct RecdConfig {
     c.shard_by_session = false;
     c.cluster_by_session = false;
     c.use_ikjt = false;
-    c.trainer = train::TrainerFlags::Baseline();
     c.batch_size = batch_size;
     return c;
   }
@@ -60,19 +62,22 @@ struct RecdConfig {
 /// Invariants (checked by ValidatePipelineOptions, enforced at
 /// construction by PipelineRunner): `num_scribe_shards`,
 /// `samples_per_partition`, `rows_per_stripe` and `window_ticks` must
-/// all be >= 1, and `reorder_ticks` >= 0. Zero used to surface as a
+/// all be >= 1, `reorder_ticks` >= 0, and `trainer_ranks` must divide
+/// train::kGradChunks (1, 2 or 4). Zero used to surface as a
 /// throw deep inside Run() (or, for a would-be zero-row stripe cut,
 /// silent misbehavior); validating up front names the offending knob
 /// instead.
 struct PipelineOptions {
   std::size_t num_samples = 20'000;
-  /// Trainer shape multipliers (see train::ShapeScale); benches use
-  /// {8, 4} to restore paper magnitudes.
-  train::ShapeScale trainer_scale;
   std::size_t num_scribe_shards = 8;
   std::size_t samples_per_partition = 10'000;
   std::size_t rows_per_stripe = 1024;
-  std::size_t max_trainer_batches = 4;  // iterations averaged for QPS
+  /// Full batches the executed trainer steps after the stage threads
+  /// join: the first is an untimed warm-up, the rest are timed. 0 builds
+  /// no trainer (every trainer field of PipelineResult stays 0).
+  std::size_t max_trainer_batches = 4;
+  /// Rank threads of the executed train::DistributedTrainer (1, 2 or 4).
+  std::size_t trainer_ranks = 2;
   /// Worker threads for the data-parallel work inside every stage:
   /// Scribe flush, ETL clustering/downsampling, storage stripe encode,
   /// and the tailing reader's stripe fetch + decode. 1 = every stage
@@ -90,7 +95,7 @@ struct PipelineOptions {
   /// only at end of stream).
   std::size_t scribe_flush_every = 4096;
   /// Diagnostic/test hook: observes every delivered batch on the
-  /// consumer thread, in order, before the trainer sim sees it.
+  /// consumer thread, in order, before the trainer keeps it.
   std::function<void(const reader::PreprocessedBatch&)> batch_observer;
 };
 
@@ -109,9 +114,18 @@ struct PipelineResult {
   double reader_rows_per_second = 0;
   // Dedup outcome.
   double mean_dedupe_factor = 0;  // across dedup groups, value-weighted
-  // Trainer.
-  train::IterationBreakdown trainer;
-  double trainer_qps = 0;
+  // Trainer: train::DistributedTrainer over the first
+  // max_trainer_batches full batches (docs/ARCHITECTURE.md §10).
+  double trainer_step_s = 0;  // median wall time of the timed steps
+  double trainer_qps = 0;     // batch_size / trainer_step_s
+  /// Exchange bytes and sparse values, summed over every step and rank.
+  train::ExchangeCounters trainer_exchange;
+  /// Loss of the untimed first step: bitwise deterministic, and equal
+  /// for IKJT and KJT batches of the same rows.
+  float trainer_first_loss = 0;
+  /// Mean per rank and timed step of the four exchanges' wall time
+  /// (comm.exchange_us); 0 unless obs::Enabled().
+  double trainer_exchange_us = 0;
   // Streaming: windows, drops and freshness.
   std::size_t windows_landed = 0;
   std::size_t late_features = 0;     // arrived after their window closed
@@ -149,12 +163,16 @@ void ValidatePipelineOptions(const PipelineOptions& options);
 /// The Fig-1 pipeline as a flow of stages, each on its own thread,
 /// connected by bounded common::Channel hand-offs:
 ///
-///   TrafficSource ─► StreamScribe ─► WindowedEtl ─► TailingReader ─► trainer
+///   TrafficSource ─► StreamScribe ─► WindowedEtl ─► TailingReader ─► consumer
 ///        (pump)        (log bus)      (windowed       (tailing         (Run's
 ///                                      land)           batches)        thread)
 ///
-/// Backpressure runs end to end: a slow trainer stalls the reader, a
+/// Backpressure runs end to end: a slow consumer stalls the reader, a
 /// slow land stalls the ETL buffer, all the way back to the source. The
+/// consumer keeps the first max_trainer_batches full batches; once the
+/// stage threads have joined, Run steps them on an executed
+/// train::DistributedTrainer, so the timed steps have the cores to
+/// themselves. The
 /// stage threads are structural; PipelineOptions::num_threads sizes
 /// the one common::ThreadPool that parallelizes the work *inside*
 /// stages. Every stage is a pure function of its input sequence, so a
@@ -166,7 +184,7 @@ class PipelineRunner {
   /// RecdConfig over identical data. Throws std::invalid_argument if
   /// `options` violates an invariant (ValidatePipelineOptions).
   PipelineRunner(datagen::DatasetSpec dataset, train::ModelConfig model,
-                 train::ClusterSpec cluster, PipelineOptions options = {});
+                 PipelineOptions options = {});
 
   /// Runs the full pipeline under `config`. Deterministic: identical
   /// configs give identical results.
@@ -180,7 +198,6 @@ class PipelineRunner {
  private:
   datagen::DatasetSpec dataset_;
   train::ModelConfig model_;
-  train::ClusterSpec cluster_;
   PipelineOptions options_;
 
   datagen::TrafficGenerator::Traffic traffic_;

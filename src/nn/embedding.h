@@ -3,7 +3,7 @@
 // EMBs translate each sparse ID into a dense vector; a pooling function
 // aggregates a row's vectors (paper §2.2). RecD's O5 performs lookups on
 // *deduplicated* values slices, cutting lookups, activation memory, and
-// memory bandwidth by DedupeFactor(f); the trainer simulation exercises
+// memory bandwidth by DedupeFactor(f); the executed trainers exercise
 // both paths through this class and tests assert they agree exactly.
 //
 // Storage backends (docs/ARCHITECTURE.md §13): by default a table owns

@@ -1,9 +1,8 @@
 // Operation counters accumulated by every nn module.
 //
-// The distributed trainer simulation converts these counters — computed
-// from *real* tensor math on real batches — into modeled GPU time
-// (docs/ARCHITECTURE.md §1). Keeping them exact is what makes the iteration
-// breakdown (Fig 8) a measurement of work, not a guess.
+// Counted from *real* tensor math on real batches, they report the work
+// a step or a served batch did (ReferenceDlrm::Stats, serving's
+// per-batch op counts); dedup paths must count less of it.
 #pragma once
 
 #include <cstddef>

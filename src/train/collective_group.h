@@ -1,8 +1,6 @@
 // CollectiveGroup: real executed in-memory collectives for N ranks
 // running as threads — the communication layer of the executed
-// hybrid-parallel trainer (docs/ARCHITECTURE.md §10). Complements the
-// alpha-beta *cost models* in train/collectives.h: those predict time,
-// this one actually moves the bytes.
+// hybrid-parallel trainer (docs/ARCHITECTURE.md §10).
 //
 // Transport is one bounded common::Channel per (src, dst) pair plus a
 // common::Barrier between the send and receive halves of every

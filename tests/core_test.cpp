@@ -3,6 +3,8 @@
 // runner's cross-system relations.
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
 #include <stdexcept>
 #include <string>
 
@@ -10,6 +12,7 @@
 #include "core/dedupe_model.h"
 #include "core/pipeline.h"
 #include "datagen/presets.h"
+#include "pipeline_counters.h"
 
 namespace recd::core {
 namespace {
@@ -163,7 +166,10 @@ TEST(CharacterizeTest, SyntheticDatasetMatchesPaperShape) {
 
 class PipelineTest : public ::testing::Test {
  protected:
-  static PipelineRunner MakeRunner() {
+  /// `trainer_batches` full batches train on the executed trainer at
+  /// `trainer_ranks` ranks; 0 builds no trainer.
+  static PipelineRunner MakeRunner(std::size_t trainer_batches = 0,
+                                   std::size_t trainer_ranks = 2) {
     auto spec = datagen::RmDataset(datagen::RmKind::kRm1, 0.08);
     // Concurrency above the training batch size so baseline batches are
     // genuinely interleaved, while S stays usefully high.
@@ -173,20 +179,25 @@ class PipelineTest : public ::testing::Test {
     PipelineOptions opts;
     opts.num_samples = 6000;
     opts.samples_per_partition = 6000;
-    opts.max_trainer_batches = 2;
-    return PipelineRunner(spec, model,
-                          train::ZionEx(8), opts);
+    opts.max_trainer_batches = trainer_batches;
+    opts.trainer_ranks = trainer_ranks;
+    return PipelineRunner(spec, model, opts);
   }
   static train::ModelConfig RmModelForTest(
       const datagen::DatasetSpec& spec) {
     auto model = train::RmModel(datagen::RmKind::kRm1, spec);
-    model.emb_hash_size = 10'000;
+    // Only the executed trainer reads the table and layer sizes; small
+    // ones keep its steps cheap under the sanitizers.
+    model.emb_hash_size = 1'000;
+    model.emb_dim = 16;
+    model.bottom_mlp_hidden = {32};
+    model.top_mlp_hidden = {32};
     return model;
   }
 };
 
 TEST_F(PipelineTest, RecdBeatsBaselineAcrossTheBoard) {
-  auto runner = MakeRunner();
+  auto runner = MakeRunner(/*trainer_batches=*/2);
   const auto base = runner.Run(RecdConfig::Baseline(256));
   const auto recd = runner.Run(RecdConfig::Full(256));
   // O1: session sharding improves Scribe compression.
@@ -202,33 +213,70 @@ TEST_F(PipelineTest, RecdBeatsBaselineAcrossTheBoard) {
   // Readers: fewer bytes read (compression) and sent (IKJT).
   EXPECT_LT(recd.reader_io.bytes_read, base.reader_io.bytes_read);
   EXPECT_LT(recd.reader_io.bytes_sent, base.reader_io.bytes_sent);
-  // Trainers: higher throughput.
-  EXPECT_GT(recd.trainer_qps, base.trainer_qps);
-  EXPECT_LT(recd.trainer.mem_util_max, base.trainer.mem_util_max);
+  // Trainers (O5-O7): the dedup path ships and looks up unique rows
+  // only, so both the sparse-id and the pooled-row exchange shrink.
+  const auto& b = base.trainer_exchange;
+  const auto& r = recd.trainer_exchange;
+  EXPECT_EQ(b.values_shipped, b.values_logical);
+  EXPECT_GT(r.exchange_dedupe_factor(), DedupeModel::kWorthItThreshold);
+  EXPECT_LT(r.sdd_bytes, b.sdd_bytes);
+  EXPECT_LT(r.emb_bytes, b.emb_bytes);
+  EXPECT_EQ(r.allreduce_bytes, b.allreduce_bytes);  // dense: same model
 }
 
 TEST_F(PipelineTest, DeterministicAcrossRuns) {
-  auto runner = MakeRunner();
+  auto runner = MakeRunner(/*trainer_batches=*/2);
   const auto a = runner.Run(RecdConfig::Full(256));
   const auto b = runner.Run(RecdConfig::Full(256));
-  EXPECT_DOUBLE_EQ(a.storage_compression_ratio,
-                   b.storage_compression_ratio);
-  EXPECT_EQ(a.reader_io.bytes_read, b.reader_io.bytes_read);
-  EXPECT_DOUBLE_EQ(a.trainer.sdd_bytes, b.trainer.sdd_bytes);
+  EXPECT_GT(a.trainer_exchange.sdd_bytes, 0u);
+  // Every counter, the first-step loss bits included.
+  testutil::ExpectPipelineCountersEqual(a, b);
 }
 
 TEST_F(PipelineTest, ClusteringAloneDoesNotHelpTrainers) {
-  // Fig 9's first bar: a clustered table with KJTs gives ~no trainer
-  // gain; IKJTs are required.
-  auto runner = MakeRunner();
+  // Fig 9's first bar: a clustered table with KJTs gives the trainer
+  // nothing to deduplicate; IKJTs are required.
+  auto runner = MakeRunner(/*trainer_batches=*/1);
   RecdConfig ct_only = RecdConfig::Baseline(256);
   ct_only.cluster_by_session = true;
   const auto base = runner.Run(RecdConfig::Baseline(256));
   const auto ct = runner.Run(ct_only);
-  EXPECT_NEAR(ct.trainer_qps / base.trainer_qps, 1.0, 0.05);
+  for (const auto* r : {&base, &ct}) {
+    EXPECT_GT(r->trainer_exchange.values_logical, 0u);
+    EXPECT_EQ(r->trainer_exchange.values_shipped,
+              r->trainer_exchange.values_logical);
+  }
   // But it *does* help storage.
   EXPECT_GT(ct.storage_compression_ratio,
             base.storage_compression_ratio);
+}
+
+// The dedup == expanded contract through the whole pipeline: over the
+// same clustered data and batch size, the IKJT and KJT runs train the
+// same logical rows, so their first-step losses are bitwise equal, and
+// the IKJT run ships fewer sparse values. At one rank nothing crosses
+// a rank boundary (self-sends are not counted), so its SDD bytes are 0.
+TEST_F(PipelineTest, IkjtAndKjtRunsTrainBitwiseEqual) {
+  for (const std::size_t ranks : {std::size_t{1}, std::size_t{2}}) {
+    auto runner = MakeRunner(/*trainer_batches=*/1, ranks);
+    auto kjt = RecdConfig::Full(256);
+    kjt.use_ikjt = false;
+    const auto dedup = runner.Run(RecdConfig::Full(256));
+    const auto expanded = runner.Run(kjt);
+    EXPECT_EQ(std::bit_cast<std::uint32_t>(dedup.trainer_first_loss),
+              std::bit_cast<std::uint32_t>(expanded.trainer_first_loss))
+        << "ranks=" << ranks;
+    const auto& d = dedup.trainer_exchange;
+    const auto& e = expanded.trainer_exchange;
+    EXPECT_EQ(d.values_logical, e.values_logical) << "ranks=" << ranks;
+    EXPECT_LT(d.values_shipped, e.values_shipped) << "ranks=" << ranks;
+    if (ranks == 1) {
+      EXPECT_EQ(d.sdd_bytes, 0u);
+      EXPECT_EQ(e.sdd_bytes, 0u);
+    } else {
+      EXPECT_LT(d.sdd_bytes, e.sdd_bytes) << "ranks=" << ranks;
+    }
+  }
 }
 
 TEST_F(PipelineTest, PerSessionDownsamplingPreservesDedupeFactor) {
@@ -262,7 +310,7 @@ TEST_F(PipelineTest, RejectsInvalidOptionsAtConstruction) {
   const auto model = RmModelForTest(spec);
   const auto make = [&](PipelineOptions opts) {
     opts.num_samples = 16;  // keep the would-be construction cheap
-    PipelineRunner runner(spec, model, train::ZionEx(8), opts);
+    PipelineRunner runner(spec, model, opts);
   };
   EXPECT_NO_THROW(make({}));
   PipelineOptions opts;
@@ -273,6 +321,9 @@ TEST_F(PipelineTest, RejectsInvalidOptionsAtConstruction) {
   EXPECT_THROW(make(opts), std::invalid_argument);
   opts = {};
   opts.num_scribe_shards = 0;
+  EXPECT_THROW(make(opts), std::invalid_argument);
+  opts = {};
+  opts.trainer_ranks = 3;  // must divide train::kGradChunks
   EXPECT_THROW(make(opts), std::invalid_argument);
 }
 
@@ -290,7 +341,7 @@ TEST_F(PipelineTest, ObserverExceptionIsRethrownAfterStagesJoin) {
     PipelineOptions opts;
     opts.num_samples = 3000;
     opts.samples_per_partition = 1000;
-    opts.max_trainer_batches = 2;
+    opts.max_trainer_batches = 0;
     opts.num_threads = num_threads;
     // Several windows, so the source, Scribe and ETL stages are still
     // streaming when the consumer fails.
@@ -299,8 +350,7 @@ TEST_F(PipelineTest, ObserverExceptionIsRethrownAfterStagesJoin) {
     opts.batch_observer = [&observed](const reader::PreprocessedBatch&) {
       if (observed++ == 1) throw ObserverFailure("batch 1");
     };
-    PipelineRunner runner(spec, RmModelForTest(spec), train::ZionEx(8),
-                          opts);
+    PipelineRunner runner(spec, RmModelForTest(spec), opts);
     bool caught = false;
     try {
       (void)runner.Run(RecdConfig::Full(256));

@@ -4,7 +4,8 @@
 // stream_test (one whole-dataset window must reproduce a golden digest,
 // and windowed results must be thread-count invariant) — one counter
 // list so a counter added to core::PipelineResult gets covered by every
-// contract at once.
+// contract at once. The executed trainer's counters are a second list:
+// they are zero in runs that build no trainer (max_trainer_batches 0).
 #pragma once
 
 #include <gtest/gtest.h>
@@ -37,34 +38,58 @@ inline std::vector<std::pair<const char*, double>> NonTimingCounters(
       {"reader_io.batches_produced", n(r.reader_io.batches_produced)},
       {"reader_io.sparse_elements_processed",
        n(r.reader_io.sparse_elements_processed)},
-      // The trainer model is analytic, so even its simulated seconds
-      // and derived QPS are deterministic counters, not wall-clock
-      // samples.
-      {"trainer.lookups", r.trainer.lookups},
-      {"trainer.flops", r.trainer.flops},
-      {"trainer.sdd_bytes", r.trainer.sdd_bytes},
-      {"trainer.emb_a2a_bytes", r.trainer.emb_a2a_bytes},
-      {"trainer_qps", r.trainer_qps},
   };
 }
 
+/// The executed trainer's deterministic counters: exchange bytes and
+/// sparse values summed over every step and rank, and the exact bits of
+/// the first-step loss. Step and exchange times are samples, not
+/// counters.
+inline std::vector<std::pair<const char*, double>> TrainerCounters(
+    const core::PipelineResult& r) {
+  const auto n = [](std::size_t v) { return static_cast<double>(v); };
+  const auto& x = r.trainer_exchange;
+  return {
+      {"trainer_exchange.sdd_bytes", n(x.sdd_bytes)},
+      {"trainer_exchange.emb_bytes", n(x.emb_bytes)},
+      {"trainer_exchange.grad_bytes", n(x.grad_bytes)},
+      {"trainer_exchange.allreduce_bytes", n(x.allreduce_bytes)},
+      {"trainer_exchange.values_logical", n(x.values_logical)},
+      {"trainer_exchange.values_shipped", n(x.values_shipped)},
+      {"trainer_first_loss_bits",
+       n(std::bit_cast<std::uint32_t>(r.trainer_first_loss))},
+  };
+}
+
+/// Both lists, counter by counter.
 inline void ExpectPipelineCountersEqual(const core::PipelineResult& a,
                                         const core::PipelineResult& b) {
-  const auto x = NonTimingCounters(a);
-  const auto y = NonTimingCounters(b);
-  for (std::size_t i = 0; i < x.size(); ++i) {
-    EXPECT_EQ(x[i].second, y[i].second) << x[i].first;
+  for (const auto list : {&NonTimingCounters, &TrainerCounters}) {
+    const auto x = list(a);
+    const auto y = list(b);
+    for (std::size_t i = 0; i < x.size(); ++i) {
+      EXPECT_EQ(x[i].second, y[i].second) << x[i].first;
+    }
   }
 }
 
-/// One number for a result: the exact bits of every non-timing counter,
-/// folded in order with common::HashCombine.
-inline std::uint64_t PipelineCountersDigest(const core::PipelineResult& r) {
+/// One number for a counter list: the exact bits of every value, folded
+/// in order with common::HashCombine.
+inline std::uint64_t CountersDigest(
+    const std::vector<std::pair<const char*, double>>& counters) {
   std::uint64_t h = 0;
-  for (const auto& [name, value] : NonTimingCounters(r)) {
+  for (const auto& [name, value] : counters) {
     h = common::HashCombine(h, std::bit_cast<std::uint64_t>(value));
   }
   return h;
+}
+
+inline std::uint64_t PipelineCountersDigest(const core::PipelineResult& r) {
+  return CountersDigest(NonTimingCounters(r));
+}
+
+inline std::uint64_t TrainerCountersDigest(const core::PipelineResult& r) {
+  return CountersDigest(TrainerCounters(r));
 }
 
 }  // namespace recd::testutil

@@ -153,7 +153,8 @@ PipelineRunner MakeRunner() {
   PipelineOptions opts;
   opts.num_samples = kNumSamples;
   opts.samples_per_partition = 3000;
-  return PipelineRunner(spec, model, train::ZionEx(8), opts);
+  opts.max_trainer_batches = 0;  // the round trips read no trainer field
+  return PipelineRunner(spec, model, opts);
 }
 
 TEST(PipelineRoundTripTest, BaselineAndRecdDeliverIdenticalSampleData) {
@@ -209,11 +210,14 @@ TEST(PipelineRoundTripTest, ParallelRunMatchesSingleThreadedCounters) {
   opts.num_samples = 3000;
   opts.samples_per_partition = 1000;  // several partitions land in parallel
   opts.rows_per_stripe = 256;
+  // The trainer's thread-count invariance is pinned by
+  // StreamPipelineTest.StreamingEqualsBatchWithWholeDatasetWindow.
+  opts.max_trainer_batches = 0;
 
   opts.num_threads = 1;
-  PipelineRunner single(spec, model, train::ZionEx(8), opts);
+  PipelineRunner single(spec, model, opts);
   opts.num_threads = 8;
-  PipelineRunner parallel(spec, model, train::ZionEx(8), opts);
+  PipelineRunner parallel(spec, model, opts);
 
   auto config = RecdConfig::Full(kBatchSize);
   config.downsample = etl::DownsampleMode::kPerSession;

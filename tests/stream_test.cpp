@@ -4,8 +4,9 @@
 //  1. Streaming-equals-batch: with one window covering the whole
 //     dataset and zero reordering, core::PipelineRunner delivers the
 //     byte-identical batch stream of a one-pass batch ETL + ReaderPool
-//     scan, and the non-timing counters of the retired batch-only
-//     runner (a golden digest), for any num_threads.
+//     scan, the non-timing counters of the retired batch-only runner (a
+//     golden digest), and a pinned executed-trainer digest, for any
+//     num_threads.
 //  2. Window-boundary dedup loss: a session straddling two ETL windows
 //     clusters within each window but not across, the open-session
 //     carry-over policy is deterministic (thread count, repetition, and
@@ -73,7 +74,12 @@ datagen::DatasetSpec MakeSpec() {
 
 train::ModelConfig MakeModel(const datagen::DatasetSpec& spec) {
   auto model = train::RmModel(datagen::RmKind::kRm1, spec);
-  model.emb_hash_size = 10'000;
+  // Only the executed trainer reads the table and layer sizes; small
+  // ones keep its steps cheap under the sanitizers.
+  model.emb_hash_size = 1'000;
+  model.emb_dim = 16;
+  model.bottom_mlp_hidden = {32};
+  model.top_mlp_hidden = {32};
   return model;
 }
 
@@ -82,7 +88,6 @@ core::PipelineOptions MakeOptions(std::size_t num_threads) {
   opts.num_samples = 3000;
   opts.samples_per_partition = 1000;  // several partitions per window
   opts.rows_per_stripe = 256;
-  opts.max_trainer_batches = 2;
   opts.num_threads = num_threads;
   return opts;
 }
@@ -130,9 +135,11 @@ std::vector<std::string> BatchModeFingerprints(
 core::PipelineResult RunStream(std::size_t num_threads,
                                std::int64_t window_ticks,
                                std::int64_t reorder_ticks,
-                               std::vector<std::string>* prints = nullptr) {
+                               std::vector<std::string>* prints = nullptr,
+                               std::size_t trainer_batches = 0) {
   const auto spec = MakeSpec();
   auto opts = MakeOptions(num_threads);
+  opts.max_trainer_batches = trainer_batches;
   opts.window_ticks = window_ticks;
   opts.reorder_ticks = reorder_ticks;
   opts.scribe_flush_every = 512;  // exercise incremental flushing
@@ -141,8 +148,7 @@ core::PipelineResult RunStream(std::size_t num_threads,
       prints->push_back(Fingerprint(b));
     };
   }
-  core::PipelineRunner runner(spec, MakeModel(spec), train::ZionEx(8),
-                              opts);
+  core::PipelineRunner runner(spec, MakeModel(spec), opts);
   return runner.Run(MakeConfig());
 }
 
@@ -150,13 +156,18 @@ using testutil::ExpectPipelineCountersEqual;
 
 // The acceptance test: one whole-dataset window (the default), zero
 // reordering, num threads 1 and 8 — byte-identical sample data (full
-// batch fingerprints, in order) and the non-timing counters of the
-// retired batch-only runner.
+// batch fingerprints, in order), the non-timing counters of the retired
+// batch-only runner, and the executed trainer's counters.
 TEST(StreamPipelineTest, StreamingEqualsBatchWithWholeDatasetWindow) {
-  // testutil::PipelineCountersDigest of the batch-only PipelineRunner's
-  // Run on this fixture (MakeOptions(1), MakeConfig()), recorded before
-  // that runner was removed.
-  constexpr std::uint64_t kGolden = 0x972cc06ed44cb0b2ULL;
+  // testutil::PipelineCountersDigest of this fixture (MakeOptions(1),
+  // MakeConfig()): the batch-only runner's Scribe, storage and reader
+  // counters, recorded before that runner and the analytic trainer
+  // model were removed.
+  constexpr std::uint64_t kGolden = 0xb55f319d1955ac35ULL;
+  // testutil::TrainerCountersDigest of the same runs with two kept
+  // batches on two ranks: exchange bytes, sparse values and the
+  // first-step loss bits of the executed trainer.
+  constexpr std::uint64_t kTrainerGolden = 0xc436caff2cf8863fULL;
   const auto spec = MakeSpec();
   const auto model = MakeModel(spec);
   const auto config = MakeConfig();
@@ -173,7 +184,7 @@ TEST(StreamPipelineTest, StreamingEqualsBatchWithWholeDatasetWindow) {
     tracer.Start();
     const auto stream = RunStream(
         num_threads, core::PipelineOptions{}.window_ticks, /*reorder=*/0,
-        &stream_prints);
+        &stream_prints, /*trainer_batches=*/2);
     tracer.Stop();
     const std::string trace = tracer.ToJson();
     tracer.Clear();
@@ -183,6 +194,10 @@ TEST(StreamPipelineTest, StreamingEqualsBatchWithWholeDatasetWindow) {
         << "num_threads=" << num_threads;
     EXPECT_EQ(testutil::PipelineCountersDigest(stream), kGolden)
         << "num_threads=" << num_threads;
+    EXPECT_GT(stream.trainer_exchange.sdd_bytes, 0u);
+    EXPECT_EQ(testutil::TrainerCountersDigest(stream), kTrainerGolden)
+        << "num_threads=" << num_threads << " digest=0x" << std::hex
+        << testutil::TrainerCountersDigest(stream);
     // The reader's stages run back to back on one thread: wall time is
     // their sum, not the whole pipeline's elapsed time.
     EXPECT_EQ(stream.reader_times.wall_s, stream.reader_times.total_s());
@@ -255,7 +270,7 @@ TEST(StreamPipelineTest, RejectsInvalidPipelineOptions) {
   const auto model = MakeModel(spec);
   const auto make = [&](core::PipelineOptions opts) {
     opts.num_samples = 16;
-    core::PipelineRunner runner(spec, model, train::ZionEx(8), opts);
+    core::PipelineRunner runner(spec, model, opts);
   };
   EXPECT_NO_THROW(make({}));
   core::PipelineOptions opts;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <mutex>
 #include <stdexcept>
 
 namespace recd::common {
@@ -26,6 +27,11 @@ double Rng::LogNormal(double mu, double sigma) {
 
 std::int64_t Rng::Poisson(double mean) {
   if (mean <= 0) return 0;
+  // libstdc++ draws means >= 12 through lgamma, which writes glibc's
+  // global `signgam`: serialize the draws so generators on different
+  // threads do not race. The draws themselves are unchanged.
+  static std::mutex lgamma_mutex;
+  const std::lock_guard<std::mutex> lock(lgamma_mutex);
   return std::poisson_distribution<std::int64_t>(mean)(engine_);
 }
 

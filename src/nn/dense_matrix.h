@@ -62,8 +62,8 @@ void MatmulAB(const DenseMatrix& a, const DenseMatrix& b, DenseMatrix& c);
 [[nodiscard]] float MaxAbsDiff(const DenseMatrix& a, const DenseMatrix& b);
 
 /// Rows [lo, hi) of `m` as a new matrix — the canonical-chunk row
-/// split shared by ReferenceDlrm::TrainStep and the distributed
-/// trainer. Throws std::out_of_range unless lo <= hi <= m.rows().
+/// split of train::DenseChunkStep. Throws std::out_of_range unless
+/// lo <= hi <= m.rows().
 [[nodiscard]] DenseMatrix SliceRows(const DenseMatrix& m, std::size_t lo,
                                     std::size_t hi);
 

@@ -17,8 +17,7 @@ namespace recd::nn {
 
 /// Sum (not mean) of the per-row stable BCE terms, accumulated in
 /// double: the chunk partial of the deterministic blocked loss
-/// reduction (train::kGradChunks) shared by ReferenceDlrm::TrainStep
-/// and the executed distributed trainer.
+/// reduction (train::kGradChunks) in train::DenseChunkStep.
 [[nodiscard]] double BceWithLogitsLossSum(const DenseMatrix& logits,
                                           std::span<const float> labels);
 

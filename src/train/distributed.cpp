@@ -12,7 +12,7 @@
 #include "common/rng.h"
 #include "tensor/jagged_ops.h"
 #include "train/checkpoint.h"
-#include "train/reference.h"
+#include "train/step.h"
 
 namespace recd::train {
 
@@ -57,69 +57,17 @@ tensor::JaggedTensor ReadJagged(const std::vector<std::int64_t>& buf,
   return tensor::JaggedTensor(std::move(values), std::move(offsets));
 }
 
-std::vector<float> FlattenGrads(const nn::MlpGradients& bottom,
-                                const nn::MlpGradients& top) {
-  std::size_t width = 0;
-  for (const auto* g : {&bottom, &top}) {
-    for (std::size_t l = 0; l < g->grad_w.size(); ++l) {
-      width += g->grad_w[l].size() + g->grad_b[l].size();
-    }
+// Reads the next rows x d floats of an embedding or gradient frame.
+nn::DenseMatrix ReadRows(const std::vector<float>& buf, std::size_t& pos,
+                         std::size_t rows, std::size_t d) {
+  if (rows * d > buf.size() - pos) {
+    throw std::runtime_error("DistributedTrainer: truncated float frame");
   }
-  std::vector<float> flat;
-  flat.reserve(width);
-  for (const auto* g : {&bottom, &top}) {
-    for (std::size_t l = 0; l < g->grad_w.size(); ++l) {
-      const auto w = g->grad_w[l].data();
-      flat.insert(flat.end(), w.begin(), w.end());
-      flat.insert(flat.end(), g->grad_b[l].begin(), g->grad_b[l].end());
-    }
-  }
-  return flat;
-}
-
-void UnflattenGrads(std::span<const float> flat, nn::MlpGradients& bottom,
-                    nn::MlpGradients& top) {
-  std::size_t pos = 0;
-  for (auto* g : {&bottom, &top}) {
-    for (std::size_t l = 0; l < g->grad_w.size(); ++l) {
-      auto w = g->grad_w[l].data();
-      std::copy(flat.begin() + static_cast<std::ptrdiff_t>(pos),
-                flat.begin() + static_cast<std::ptrdiff_t>(pos + w.size()),
-                w.begin());
-      pos += w.size();
-      std::copy(flat.begin() + static_cast<std::ptrdiff_t>(pos),
-                flat.begin() +
-                    static_cast<std::ptrdiff_t>(pos + g->grad_b[l].size()),
-                g->grad_b[l].begin());
-      pos += g->grad_b[l].size();
-    }
-  }
-  if (pos != flat.size()) {
-    throw std::runtime_error("DistributedTrainer: all-reduce width mismatch");
-  }
-}
-
-const tensor::InverseKeyedJaggedTensor* FindGroup(
-    const reader::PreprocessedBatch& batch,
-    const std::vector<std::string>& features) {
-  for (const auto& g : batch.groups) {
-    if (g.keys() == features) return &g;
-  }
-  return nullptr;
-}
-
-bool BatchHasFeature(const reader::PreprocessedBatch& batch,
-                     const std::string& feature) {
-  if (batch.kjt.Has(feature)) return true;
-  for (const auto& g : batch.groups) {
-    for (const auto& key : g.keys()) {
-      if (key == feature) return true;
-    }
-  }
-  for (const auto& p : batch.partials) {
-    if (p.key() == feature) return true;
-  }
-  return false;
+  nn::DenseMatrix m(rows, d);
+  std::copy_n(buf.begin() + static_cast<std::ptrdiff_t>(pos), rows * d,
+              m.data().begin());
+  pos += rows * d;
+  return m;
 }
 
 }  // namespace
@@ -134,29 +82,12 @@ void ExchangeCounters::Add(const ExchangeCounters& other) {
 }
 
 struct DistributedTrainer::RankState {
-  nn::Mlp bottom;
-  nn::Mlp top;
-  nn::FeatureInteraction interaction;
+  DenseReplica dense;
   nn::EmbeddingShardView shard;
   // Dedupe-accounting series, registered in the trainer's registry and
   // cached here (one writer: this rank's thread).
   obs::Counter* values_logical = nullptr;
   obs::Counter* values_shipped = nullptr;
-
-  RankState(const ModelConfig& model, std::uint64_t seed,
-            kernels::KernelBackend backend)
-      : bottom([&] {
-          common::Rng rng(seed);
-          return nn::Mlp(model.BottomMlpDims(), rng);
-        }()),
-        top([&] {
-          common::Rng rng(seed + 1);
-          return nn::Mlp(model.TopMlpDims(), rng);
-        }()) {
-    bottom.set_backend(backend);
-    top.set_backend(backend);
-    interaction.set_backend(backend);
-  }
 };
 
 DistributedTrainer::DistributedTrainer(ModelConfig model,
@@ -174,8 +105,8 @@ DistributedTrainer::DistributedTrainer(ModelConfig model,
   }
   ranks_.reserve(config_.num_ranks);
   for (std::size_t r = 0; r < config_.num_ranks; ++r) {
-    ranks_.push_back(std::make_unique<RankState>(model_, config_.seed,
-                                                 config_.backend));
+    ranks_.push_back(std::make_unique<RankState>(
+        RankState{DenseReplica(model_, config_.seed, config_.backend), {}}));
     const obs::Labels labels = {{"rank", std::to_string(r)}};
     ranks_.back()->values_logical =
         &metrics_.GetCounter("train.values_logical", labels);
@@ -241,11 +172,11 @@ std::size_t DistributedTrainer::OwnerOfTable(std::size_t table_id) const {
 }
 
 const nn::Mlp& DistributedTrainer::bottom_mlp(std::size_t rank) const {
-  return ranks_.at(rank)->bottom;
+  return ranks_.at(rank)->dense.bottom;
 }
 
 const nn::Mlp& DistributedTrainer::top_mlp(std::size_t rank) const {
-  return ranks_.at(rank)->top;
+  return ranks_.at(rank)->dense.top;
 }
 
 const nn::EmbeddingTable& DistributedTrainer::table(
@@ -274,8 +205,8 @@ void DistributedTrainer::LoadState(const TrainerCheckpoint& checkpoint) {
         std::to_string(checkpoint.seed) + " != trainer seed " +
         std::to_string(config_.seed) + " (different init lineage)");
   }
-  if (checkpoint.bottom_w.size() != ranks_[0]->bottom.num_layers() ||
-      checkpoint.top_w.size() != ranks_[0]->top.num_layers()) {
+  if (checkpoint.bottom_w.size() != ranks_[0]->dense.bottom.num_layers() ||
+      checkpoint.top_w.size() != ranks_[0]->dense.top.num_layers()) {
     throw CheckpointError(
         "DistributedTrainer::LoadState: checkpoint MLP layer count does "
         "not match this trainer's model");
@@ -288,12 +219,12 @@ void DistributedTrainer::LoadState(const TrainerCheckpoint& checkpoint) {
   // fingerprint gate above makes them unreachable in practice.
   for (auto& rank : ranks_) {
     for (std::size_t i = 0; i < checkpoint.bottom_w.size(); ++i) {
-      rank->bottom.LoadLayerParameters(i, checkpoint.bottom_w[i],
-                                       checkpoint.bottom_b[i]);
+      rank->dense.bottom.LoadLayerParameters(i, checkpoint.bottom_w[i],
+                                             checkpoint.bottom_b[i]);
     }
     for (std::size_t i = 0; i < checkpoint.top_w.size(); ++i) {
-      rank->top.LoadLayerParameters(i, checkpoint.top_w[i],
-                                    checkpoint.top_b[i]);
+      rank->dense.top.LoadLayerParameters(i, checkpoint.top_w[i],
+                                          checkpoint.top_b[i]);
     }
   }
   for (std::size_t t = 0; t < checkpoint.tables.size(); ++t) {
@@ -304,47 +235,24 @@ void DistributedTrainer::LoadState(const TrainerCheckpoint& checkpoint) {
 float DistributedTrainer::Step(const reader::PreprocessedBatch& batch) {
   const std::size_t batch_size = batch.batch_size;
   const std::size_t num_ranks = config_.num_ranks;
-  if (batch_size == 0) {
-    throw std::invalid_argument("DistributedTrainer: empty batch");
-  }
-  if (batch.dense.size() != batch_size * model_.dense_dim ||
-      batch.labels.size() != batch_size) {
-    throw std::invalid_argument(
-        "DistributedTrainer: dense/labels size mismatch");
-  }
+  CheckTrainBatch(batch, model_.dense_dim, "DistributedTrainer");
   // Validate inputs up front, on the caller thread: RunRank must not
   // throw mid-exchange (a rank erroring out between barriers would
-  // strand its peers).
+  // strand its peers). Dedup units in RecD mode are sliced from their
+  // IKJT per rank; every other unit is expanded here, once — integer
+  // work the rank threads slice read-only — which throws
+  // std::out_of_range for a feature the batch lacks.
   for (const auto& unit : units_) {
-    if (config_.recd && unit.deduplicated()) {
-      if (FindGroup(batch, unit.features) == nullptr) {
-        throw std::invalid_argument(
-            "DistributedTrainer: recd mode requires an IKJT group for "
-            "feature " +
-            unit.features.front());
-      }
-    } else {
-      for (const auto& f : unit.features) {
-        if (!BatchHasFeature(batch, f)) {
-          throw std::invalid_argument(
-              "DistributedTrainer: feature missing from batch: " + f);
-        }
-      }
+    if (!config_.recd || !unit.deduplicated()) continue;
+    const auto* group = GroupWith(batch, unit.features.front());
+    if (group == nullptr || group->keys() != unit.features) {
+      throw std::invalid_argument(
+          "DistributedTrainer: recd mode requires an IKJT group for "
+          "feature " +
+          unit.features.front());
     }
   }
-
-  // Pre-expand every unit that ships expanded rows, once, on the
-  // caller thread — integer-only work the rank threads then slice
-  // read-only instead of each re-expanding the full batch. Dedup
-  // units in RecD mode are sliced from the IKJT per rank instead.
-  std::vector<std::vector<tensor::JaggedTensor>> expanded(units_.size());
-  for (std::size_t u = 0; u < units_.size(); ++u) {
-    if (config_.recd && units_[u].deduplicated()) continue;
-    expanded[u].reserve(units_[u].features.size());
-    for (const auto& f : units_[u].features) {
-      expanded[u].push_back(ExpandedFeature(batch, f));
-    }
-  }
+  const auto expanded = ExpandUnits(batch, units_, config_.recd);
 
   // Rank r trains rows [bounds[r*K/N], bounds[(r+1)*K/N]) — sub-batch
   // boundaries are canonical chunk boundaries by construction.
@@ -417,14 +325,18 @@ void DistributedTrainer::RunRank(
     std::vector<tensor::JaggedTensor> expanded;
   };
   std::vector<LocalInput> local(units_.size());
-  for (std::size_t u = 0; u < units_.size(); ++u) {
-    if (config_.recd && units_[u].deduplicated()) {
-      local[u].dedup = true;
-      local[u].ikjt =
-          tensor::SliceIkjt(*FindGroup(batch, units_[u].features), lo, hi);
-    } else {
-      for (const auto& jt : expanded[u]) {
-        local[u].expanded.push_back(tensor::SliceJaggedRows(jt, lo, hi));
+  {
+    RECD_TRACE_SCOPE("train/prep");
+    for (std::size_t u = 0; u < units_.size(); ++u) {
+      if (config_.recd && units_[u].deduplicated()) {
+        local[u].dedup = true;
+        local[u].ikjt =
+            tensor::SliceIkjt(*GroupWith(batch, units_[u].features.front()),
+                              lo, hi);
+      } else {
+        for (const auto& jt : expanded[u]) {
+          local[u].expanded.push_back(tensor::SliceJaggedRows(jt, lo, hi));
+        }
       }
     }
   }
@@ -523,20 +435,8 @@ void DistributedTrainer::RunRank(
   for (std::size_t i = 0; i < owned_units.size(); ++i) {
     const auto& unit = units_[owned_units[i]];
     for (std::size_t s = 0; s < num_ranks; ++s) {
-      const auto& in = owned_in[i][s];
-      nn::DenseMatrix pooled;
-      if (unit.kind == PlacementUnit::Kind::kSequenceGroup) {
-        std::vector<const tensor::JaggedTensor*> jts;
-        std::vector<const nn::EmbeddingTable*> tables;
-        for (std::size_t k = 0; k < unit.features.size(); ++k) {
-          jts.push_back(&in.jts[k]);
-          tables.push_back(&st.shard.Table(unit.table_ids[k]));
-        }
-        pooled = SumPoolConcatGroup(config_.backend, jts, tables);
-      } else {
-        pooled = st.shard.Table(unit.table_ids[0])
-                     .PooledForward(in.jts[0], nn::PoolingKind::kSum);
-      }
+      const nn::DenseMatrix pooled =
+          PoolUnit(config_.backend, unit, owned_in[i][s].jts, st.shard);
       const auto data = pooled.data();
       emb_send[s].insert(emb_send[s].end(), data.begin(), data.end());
     }
@@ -552,16 +452,7 @@ void DistributedTrainer::RunRank(
     const std::size_t owner = unit_owner_[u];
     const std::size_t rows =
         local[u].dedup ? local[u].ikjt.unique_rows() : local_rows;
-    nn::DenseMatrix pm(rows, d);
-    const auto& buf = emb_recv[owner];
-    if (read_pos[owner] + rows * d > buf.size()) {
-      throw std::runtime_error("DistributedTrainer: truncated pooled rows");
-    }
-    std::copy(buf.begin() + static_cast<std::ptrdiff_t>(read_pos[owner]),
-              buf.begin() +
-                  static_cast<std::ptrdiff_t>(read_pos[owner] + rows * d),
-              pm.data().begin());
-    read_pos[owner] += rows * d;
+    nn::DenseMatrix pm = ReadRows(emb_recv[owner], read_pos[owner], rows, d);
     pooled_units[u] = local[u].dedup
                           ? ExpandRows(pm, local[u].ikjt.inverse_lookup())
                           : std::move(pm);
@@ -571,60 +462,18 @@ void DistributedTrainer::RunRank(
   // (fixed-order partials for the deterministic all-reduce).
   std::vector<std::pair<std::size_t, std::vector<float>>> grad_chunks;
   std::vector<std::pair<std::size_t, std::vector<double>>> loss_chunks;
-  std::vector<nn::DenseMatrix> unit_grads(units_.size());
-  for (std::size_t u = 0; u < units_.size(); ++u) {
-    unit_grads[u] = nn::DenseMatrix(local_rows, d);
-  }
-  nn::DenseMatrix dense_local(local_rows, model_.dense_dim);
-  std::copy(batch.dense.begin() +
-                static_cast<std::ptrdiff_t>(lo * model_.dense_dim),
-            batch.dense.begin() +
-                static_cast<std::ptrdiff_t>(hi * model_.dense_dim),
-            dense_local.data().begin());
+  std::vector<nn::DenseMatrix> unit_grads(units_.size(),
+                                          nn::DenseMatrix(local_rows, d));
   const auto chunk_bounds = GradChunkBounds(batch_size);
   const std::size_t chunks_per_rank = kGradChunks / num_ranks;
   for (std::size_t c = rank * chunks_per_rank;
        c < (rank + 1) * chunks_per_rank; ++c) {
-    const std::size_t clo = chunk_bounds[c] - lo;    // rank-local rows
-    const std::size_t chi = chunk_bounds[c + 1] - lo;
-    if (clo == chi) continue;
-    const std::size_t rows = chi - clo;
-
-    nn::DenseMatrix bottom =
-        st.bottom.Forward(nn::SliceRows(dense_local, clo, chi));
-
-    std::vector<nn::DenseMatrix> chunk_pooled;
-    chunk_pooled.reserve(units_.size());
-    for (std::size_t u = 0; u < units_.size(); ++u) {
-      chunk_pooled.push_back(nn::SliceRows(pooled_units[u], clo, chi));
-    }
-    std::vector<const nn::DenseMatrix*> ptrs;
-    ptrs.push_back(&bottom);
-    for (const auto& m : chunk_pooled) ptrs.push_back(&m);
-    nn::DenseMatrix interacted = st.interaction.Forward(ptrs);
-    nn::DenseMatrix logits = st.top.Forward(interacted);
-    const auto labels =
-        std::span<const float>(batch.labels).subspan(lo + clo, rows);
-    loss_chunks.emplace_back(
-        c, std::vector<double>{
-               nn::BceWithLogitsLossSum(logits, labels)});
-
-    nn::DenseMatrix grad_logits =
-        nn::BceWithLogitsGrad(logits, labels, batch_size);
-    nn::DenseMatrix grad_interacted = st.top.Backward(grad_logits);
-    std::vector<nn::DenseMatrix> grad_inputs;
-    st.interaction.Backward(grad_interacted, ptrs, grad_inputs);
-    (void)st.bottom.Backward(grad_inputs[0]);
-    auto bottom_grads = st.bottom.TakeGradients();
-    auto top_grads = st.top.TakeGradients();
-    grad_chunks.emplace_back(c, FlattenGrads(bottom_grads, top_grads));
-
-    for (std::size_t u = 0; u < units_.size(); ++u) {
-      const auto src = grad_inputs[1 + u].data();
-      auto dst = unit_grads[u].data();
-      std::copy(src.begin(), src.end(),
-                dst.begin() + static_cast<std::ptrdiff_t>(clo * d));
-    }
+    if (chunk_bounds[c] == chunk_bounds[c + 1]) continue;
+    auto chunk = DenseChunkStep(st.dense, batch, chunk_bounds[c],
+                                chunk_bounds[c + 1], lo, pooled_units,
+                                unit_grads);
+    loss_chunks.emplace_back(c, std::vector<double>{chunk.loss_sum});
+    grad_chunks.emplace_back(c, std::move(chunk.mlp));
   }
 
   // --- Phase 4: mirror gradient all-to-all; owners apply the sparse
@@ -644,52 +493,21 @@ void DistributedTrainer::RunRank(
     const auto& unit = units_[owned_units[i]];
     for (std::size_t s = 0; s < num_ranks; ++s) {
       const std::size_t src_rows = rank_bounds[s + 1] - rank_bounds[s];
-      const auto& buf = grad_recv[s];
-      if (grad_pos[s] + src_rows * d > buf.size()) {
-        throw std::runtime_error("DistributedTrainer: truncated gradients");
-      }
-      nn::DenseMatrix grads(src_rows, d);
-      std::copy(buf.begin() + static_cast<std::ptrdiff_t>(grad_pos[s]),
-                buf.begin() +
-                    static_cast<std::ptrdiff_t>(grad_pos[s] + src_rows * d),
-                grads.data().begin());
-      grad_pos[s] += src_rows * d;
+      const nn::DenseMatrix grads =
+          ReadRows(grad_recv[s], grad_pos[s], src_rows, d);
       const auto& in = owned_in[i][s];
-      for (std::size_t k = 0; k < unit.features.size(); ++k) {
-        if (config_.recd && unit.deduplicated()) {
-          // O6 on the owner: integer id expansion; float grads apply
-          // per expanded row, preserving the reference update order.
-          st.shard.Table(unit.table_ids[k])
-              .ApplyPooledGradient(
-                  tensor::JaggedIndexSelect(in.jts[k], in.inverse), grads,
-                  nn::PoolingKind::kSum, config_.lr);
-        } else {
-          st.shard.Table(unit.table_ids[k])
-              .ApplyPooledGradient(in.jts[k], grads, nn::PoolingKind::kSum,
-                                   config_.lr);
-        }
-      }
+      const bool dedup = config_.recd && unit.deduplicated();
+      ApplyUnitGradient(unit, in.jts, dedup ? &in.inverse : nullptr,
+                        grads, config_.lr, st.shard);
     }
   }
 
   // --- Phase 5: fixed-order MLP gradient all-reduce + replicated step.
-  const std::size_t width = grad_chunks.empty()
-                                ? FlattenGrads(st.bottom.ZeroGradients(),
-                                               st.top.ZeroGradients())
-                                      .size()
-                                : grad_chunks.front().second.size();
-  auto reduced = group_.AllReduceSum<float>(rank, grad_chunks, width,
-                                           Exchange::kAllReduce);
+  auto reduced = group_.AllReduceSum<float>(
+      rank, grad_chunks, st.dense.grad_width(), Exchange::kAllReduce);
   auto loss_reduced = group_.AllReduceSum<double>(rank, loss_chunks, 1,
                                                  Exchange::kAllReduce);
-
-  nn::MlpGradients bottom_total = st.bottom.ZeroGradients();
-  nn::MlpGradients top_total = st.top.ZeroGradients();
-  UnflattenGrads(reduced, bottom_total, top_total);
-  st.bottom.AccumulateGradients(bottom_total);
-  st.top.AccumulateGradients(top_total);
-  st.bottom.Step(config_.lr);
-  st.top.Step(config_.lr);
+  ApplyDenseGradients(st.dense, reduced, config_.lr);
   *loss_out =
       static_cast<float>(loss_reduced[0] / static_cast<double>(batch_size));
 }

@@ -23,11 +23,11 @@
 // Determinism contract: for any rank count dividing kGradChunks
 // (1, 2, 4), K steps produce weights and losses bitwise identical to
 // single-rank ReferenceDlrm::TrainStep, baseline and RecD mode alike.
-// The three ingredients: the fixed-chunk-order gradient/loss all-reduce
-// (no atomics on any accumulation path), owner-applied sparse updates
-// in global batch-row order, and pooling that runs the identical
-// float-op sequence on unique and expanded rows (asserted since PR 1
-// by the IKJT forward-equivalence tests).
+// Both run the shared step of train/step.h; what RunRank adds is a
+// fixed-chunk-order gradient/loss all-reduce (no atomics on any
+// accumulation path), owner-applied sparse updates in global batch-row
+// order, and pooling of unique rows, which runs the same float ops as
+// pooling expanded rows (the IKJT forward-equivalence tests).
 #pragma once
 
 #include <chrono>
@@ -38,9 +38,8 @@
 
 #include "kernels/backend.h"
 #include "nn/embedding_shard.h"
-#include "obs/metrics.h"
-#include "nn/interaction.h"
 #include "nn/mlp.h"
+#include "obs/metrics.h"
 #include "reader/batch.h"
 #include "train/collective_group.h"
 #include "train/model.h"
@@ -115,9 +114,10 @@ class DistributedTrainer {
   /// One synchronous iteration over a global batch: rank r trains rows
   /// [floor(r*B/N), floor((r+1)*B/N)) and the four exchanges run for
   /// real. Returns the global mean loss (identical on every rank).
-  /// Throws std::invalid_argument on an empty batch, or in RecD mode
-  /// on a batch without IKJT groups — validated up front, before any
-  /// rank thread starts. If a rank nonetheless fails mid-exchange
+  /// Throws std::invalid_argument on an empty batch, a dense/labels
+  /// size mismatch, or in RecD mode on a batch without IKJT groups, and
+  /// std::out_of_range on a missing feature — all before any rank
+  /// thread starts. If a rank nonetheless fails mid-exchange
   /// (e.g. allocation failure), the collectives abort so every peer
   /// unwinds, the first failure is rethrown, and the trainer is
   /// poisoned: later Steps throw too.

@@ -15,56 +15,13 @@
 #include "kernels/backend.h"
 #include "nn/attention.h"
 #include "nn/embedding.h"
-#include "nn/interaction.h"
-#include "nn/loss.h"
+#include "nn/embedding_shard.h"
 #include "nn/mlp.h"
 #include "reader/batch.h"
 #include "train/model.h"
+#include "train/step.h"
 
 namespace recd::train {
-
-/// The canonical accumulation granularity of training-step reductions
-/// (per-layer dW/db sums and the batch loss sum). Both
-/// ReferenceDlrm::TrainStep and the executed distributed trainer
-/// compute per-chunk partials (chunk c covers batch rows
-/// [floor(c*B/K), floor((c+1)*B/K))) and combine them from zeros in
-/// ascending chunk order, so any rank count that divides kGradChunks
-/// produces bitwise-identical weights and losses (float sums are not
-/// associative; a fixed reduction tree makes the split invisible).
-inline constexpr std::size_t kGradChunks = 4;
-
-/// Row boundaries of the canonical chunks: kGradChunks + 1 entries,
-/// bounds[c] = floor(c * batch_size / kGradChunks).
-[[nodiscard]] std::vector<std::size_t> GradChunkBounds(
-    std::size_t batch_size);
-
-/// Looks up the expanded (batch-rows) jagged tensor of `feature` in a
-/// batch, reconstructing from an IKJT when the feature was deduplicated.
-[[nodiscard]] tensor::JaggedTensor ExpandedFeature(
-    const reader::PreprocessedBatch& batch, const std::string& feature);
-
-/// Gathers rows: out(i, :) = pooled(inverse[i], :). The RecD post-pooling
-/// expansion (dense index-select through the local inverse_lookup).
-[[nodiscard]] nn::DenseMatrix ExpandRows(
-    const nn::DenseMatrix& pooled, std::span<const std::int64_t> inverse);
-
-/// Sum-pools the concatenation of a sequence group's per-feature
-/// sequences: out(r, :) = sum of every looked-up embedding of row r
-/// across the group's features, in concatenation order. The TrainStep
-/// pooling path for sequence groups (attention backward is out of
-/// scope), shared with the distributed trainer so the sharded owner
-/// runs the identical float-op sequence. `jts` and `tables` pair up
-/// per feature and must all have the same row count and dim.
-[[nodiscard]] nn::DenseMatrix SumPoolConcatGroup(
-    const std::vector<const tensor::JaggedTensor*>& jts,
-    const std::vector<const nn::EmbeddingTable*>& tables);
-
-/// Backend-pinned variant (the overload above uses
-/// kernels::DefaultBackend()); bitwise-identical across backends.
-[[nodiscard]] nn::DenseMatrix SumPoolConcatGroup(
-    kernels::KernelBackend backend,
-    const std::vector<const tensor::JaggedTensor*>& jts,
-    const std::vector<const nn::EmbeddingTable*>& tables);
 
 class ReferenceDlrm {
  public:
@@ -76,24 +33,22 @@ class ReferenceDlrm {
   [[nodiscard]] nn::DenseMatrix Forward(
       const reader::PreprocessedBatch& batch, bool recd);
 
-  /// One SGD step (forward, BCE loss, backward, update). Uses sum
-  /// pooling for sequence groups regardless of the attention flag
-  /// (attention backward is out of scope). Gradient and loss sums
-  /// accumulate per canonical chunk (kGradChunks) and combine in fixed
-  /// chunk order — the single-rank gold standard the distributed
-  /// trainer must match bitwise. Returns the batch loss. Throws
-  /// std::invalid_argument on an empty batch.
+  /// One SGD step: train/step.h's step at one rank, on expanded rows,
+  /// with no exchanges. Sum-pools sequence groups regardless of the
+  /// attention flag (attention backward is out of scope). The result the
+  /// distributed trainer must match bitwise. Returns the batch loss.
+  /// Throws std::invalid_argument on a batch CheckTrainBatch rejects.
   float TrainStep(const reader::PreprocessedBatch& batch, float lr);
 
-  /// Mean BCE loss without updating parameters. Throws
-  /// std::invalid_argument on an empty batch.
+  /// Mean BCE loss without updating parameters, pooled as in TrainStep.
+  /// Throws like TrainStep.
   [[nodiscard]] float EvalLoss(const reader::PreprocessedBatch& batch);
 
   [[nodiscard]] const ModelConfig& model() const { return model_; }
 
   /// Parameter access for the distributed bitwise-equality tests.
-  [[nodiscard]] const nn::Mlp& bottom_mlp() const { return bottom_mlp_; }
-  [[nodiscard]] const nn::Mlp& top_mlp() const { return top_mlp_; }
+  [[nodiscard]] const nn::Mlp& bottom_mlp() const { return dense_.bottom; }
+  [[nodiscard]] const nn::Mlp& top_mlp() const { return dense_.top; }
   [[nodiscard]] const nn::EmbeddingTable& table(
       const std::string& feature) const;
 
@@ -112,29 +67,31 @@ class ReferenceDlrm {
   /// the parity tests compare them explicitly.
   void SetKernelBackend(kernels::KernelBackend b);
   [[nodiscard]] kernels::KernelBackend kernel_backend() const {
-    return backend_;
+    return dense_.backend;
   }
 
  private:
-  struct PooledInputs {
-    std::vector<nn::DenseMatrix> matrices;
-    std::vector<const nn::DenseMatrix*> pointers;  // bottom + pooled
-  };
-  [[nodiscard]] PooledInputs PoolSparse(
-      const reader::PreprocessedBatch& batch, bool recd, bool attention_ok);
-  [[nodiscard]] nn::DenseMatrix BottomForward(
-      const reader::PreprocessedBatch& batch);
+  /// The forward's pooling, one matrix per unit in unit order:
+  /// attention for groups that ask for it, sum otherwise; with `recd`,
+  /// on unique IKJT rows through the fused kernels.
+  [[nodiscard]] std::vector<nn::DenseMatrix> PoolSparse(
+      const reader::PreprocessedBatch& batch, bool recd);
+  /// PoolUnit over every unit's expanded features (the reference never
+  /// pools unique rows): the training-path pooling.
+  [[nodiscard]] std::vector<nn::DenseMatrix> PoolExpanded(
+      const std::vector<std::vector<tensor::JaggedTensor>>& ids);
+  /// Bottom MLP, interaction over {bottom, pooled...}, top MLP.
+  [[nodiscard]] nn::DenseMatrix Logits(
+      const reader::PreprocessedBatch& batch,
+      const std::vector<nn::DenseMatrix>& pooled);
 
   ModelConfig model_;
-  kernels::KernelBackend backend_ = kernels::DefaultBackend();
-  nn::Mlp bottom_mlp_;
-  nn::Mlp top_mlp_;
-  nn::FeatureInteraction interaction_;
+  DenseReplica dense_;
   nn::SelfAttentionPooling attention_;
-  std::vector<std::string> table_order_;
-  std::vector<nn::EmbeddingTable> tables_;
+  std::vector<PlacementUnit> units_;
+  nn::EmbeddingShardView tables_;  // every table, by ModelTableOrder id
 
-  [[nodiscard]] nn::EmbeddingTable& Table(const std::string& feature);
+  [[nodiscard]] std::size_t TableId(const std::string& feature) const;
 };
 
 }  // namespace recd::train

@@ -31,6 +31,8 @@
 #include "train/model.h"
 #include "train/reference.h"
 
+#include "reference_digest.h"
+
 namespace recd::train {
 namespace {
 
@@ -404,6 +406,11 @@ TEST(DistributedTrainerTest, BitwiseMatchesReferenceForEveryRankCount) {
   for (int k = 0; k < kSteps; ++k) {
     ref_losses.push_back(ref.TrainStep(fx.base_batch, kLr));
   }
+  // The reference's losses and weights, recorded before ReferenceDlrm
+  // and DistributedTrainer shared one step: the shared math still
+  // reproduces the independently written reference.
+  constexpr std::uint64_t kReferenceGolden = 0xb364ebb73547239e;
+  EXPECT_EQ(testutil::ReferenceDigest(ref, ref_losses), kReferenceGolden);
 
   for (const std::size_t n : {1u, 2u, 4u}) {
     for (const bool recd : {false, true}) {

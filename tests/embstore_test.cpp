@@ -38,6 +38,8 @@
 #include "train/model.h"
 #include "train/reference.h"
 
+#include "reference_digest.h"
+
 namespace recd::embstore {
 namespace {
 
@@ -664,6 +666,11 @@ TEST(EmbstoreTrainerDeterminismTest, ReferenceDlrmBitwiseAcrossCapacities) {
   for (int k = 0; k < 2; ++k) {
     dense_losses.push_back(dense_ref.TrainStep(fx.base_batch, kLr));
   }
+  // Recorded before ReferenceDlrm and DistributedTrainer shared one
+  // step (see tests/reference_digest.h).
+  constexpr std::uint64_t kReferenceGolden = 0xa15d1c04fa0cac51;
+  EXPECT_EQ(testutil::ReferenceDigest(dense_ref, dense_losses),
+            kReferenceGolden);
   const auto fwd_base = dense_ref.Forward(fx.base_batch, /*recd=*/false);
   const auto fwd_recd = dense_ref.Forward(fx.recd_batch, /*recd=*/true);
 

@@ -372,8 +372,19 @@ TEST(ObsDeterminismTest, TrainingIsBitwiseIdenticalWithObsOnOrOff) {
     train::DistributedTrainer on(fx.model, config);
     std::vector<float> on_losses;
     for (int k = 0; k < kSteps; ++k) on_losses.push_back(on.Step(fx.batch));
-    // Tracing genuinely ran: exchange spans were recorded...
+    // Tracing genuinely ran: exchange spans were recorded, and so was
+    // every part of the step between them...
     EXPECT_GT(Tracer::Global().event_count(), 0u);
+    const std::string trace = Tracer::Global().ToJson();
+    for (const char* span :
+         {"train/prep", "train/pool", "train/bottom_fwd",
+          "train/interaction_fwd", "train/top_fwd", "train/top_bwd",
+          "train/interaction_bwd", "train/bottom_bwd", "train/flatten",
+          "train/sparse_update", "train/optimizer"}) {
+      EXPECT_NE(trace.find("\"name\":\"" + std::string(span) + "\""),
+                std::string::npos)
+          << span << " missing at ranks=" << ranks;
+    }
     const auto on_metrics = [&] {
       auto s = on.metrics().Snapshot();
       s.Merge(on.comm_metrics().Snapshot());

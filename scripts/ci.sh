@@ -13,7 +13,7 @@
 #               tiered == dense, serve_scale scores equal across
 #               fleets), then a traced
 #               dist-train smoke run asserting the Chrome trace carries
-#               spans for all four exchanges
+#               spans for all four exchanges and every train/* step span
 #   lint        BENCH_*.json schema lint (validate_bench_json.py)
 #
 # Honors CMAKE_CXX_COMPILER_LAUNCHER (the workflow sets it to ccache),
@@ -33,8 +33,8 @@ stage_sanitizers() {
   ./scripts/check.sh --smoke
   # End-to-end trace gate on the optimized build --smoke just made: the
   # dist-train bench must emit a loadable Chrome trace with spans for
-  # all four exchanges (its own checks already assert obs-on bitwise
-  # losses).
+  # all four exchanges and every train/* span of the step (its own
+  # checks already assert obs-on bitwise losses).
   local trace
   trace=$(mktemp /tmp/recd_ci_trace.XXXXXX.json)
   RECD_SMOKE=1 ./build/bench_dist_train --trace "$trace"
@@ -43,7 +43,12 @@ import json, sys
 events = json.load(open(sys.argv[1]))["traceEvents"]
 names = {e["name"] for e in events}
 need = {"exchange/sdd", "exchange/emb", "exchange/grad",
-        "exchange/allreduce", "train/step"}
+        "exchange/allreduce", "train/step", "train/prep",
+        "train/sdd_build", "train/reassemble", "train/grad_alloc",
+        "train/pool", "train/bottom_fwd", "train/interaction_fwd",
+        "train/top_fwd", "train/top_bwd", "train/interaction_bwd",
+        "train/bottom_bwd", "train/flatten", "train/sparse_update",
+        "train/allreduce_sum", "train/optimizer"}
 missing = need - names
 assert not missing, f"trace missing spans: {missing}"
 print(f"trace ok: {len(events)} events, spans {sorted(names)}")

@@ -10,6 +10,7 @@
 #include <utility>
 
 #include "common/rng.h"
+#include "obs/trace.h"
 #include "tensor/jagged_ops.h"
 #include "train/checkpoint.h"
 #include "train/step.h"
@@ -18,59 +19,45 @@ namespace recd::train {
 
 namespace {
 
-// SDD all-to-all framing (all values std::int64_t):
-//   dedup unit:  [m, U, inverse(m), per feature: n, offsets(U), values(n)]
-//   plain unit:  per feature: [m, n, offsets(m), values(n)]
-// Sender and receiver both walk the unit list in global unit order
-// filtered to the destination/owner, so the frame needs no unit tags.
+// One unit's sparse input as a source rank ships it to the unit's
+// owner: the sliced IKJT's unique rows plus its inverse (a RecD dedup
+// unit), or the expanded rows.
+struct OwnedInput {
+  bool dedup = false;
+  std::vector<tensor::JaggedTensor> jts;  // unique (dedup) or expanded
+  std::vector<std::int64_t> inverse;      // dedup units only
+};
 
-void AppendJagged(std::vector<std::int64_t>& out,
-                  const tensor::JaggedTensor& jt) {
-  out.push_back(static_cast<std::int64_t>(jt.total_values()));
-  out.insert(out.end(), jt.offsets().begin(), jt.offsets().end());
-  out.insert(out.end(), jt.values().begin(), jt.values().end());
-}
-
-std::int64_t ReadInt(const std::vector<std::int64_t>& buf,
-                     std::size_t& pos) {
-  if (pos >= buf.size()) {
-    throw std::runtime_error("DistributedTrainer: truncated SDD frame");
-  }
-  return buf[pos++];
-}
-
-tensor::JaggedTensor ReadJagged(const std::vector<std::int64_t>& buf,
-                                std::size_t& pos, std::size_t rows) {
-  const auto n_raw = ReadInt(buf, pos);
-  // Overflow-safe bounds check: counts come off the wire.
-  if (n_raw < 0 || rows > buf.size() - pos ||
-      static_cast<std::size_t>(n_raw) > buf.size() - pos - rows) {
-    throw std::runtime_error("DistributedTrainer: truncated SDD frame");
-  }
-  const auto n = static_cast<std::size_t>(n_raw);
-  std::vector<tensor::Offset> offsets(buf.begin() + static_cast<std::ptrdiff_t>(pos),
-                                      buf.begin() + static_cast<std::ptrdiff_t>(pos + rows));
-  pos += rows;
-  std::vector<tensor::Id> values(buf.begin() + static_cast<std::ptrdiff_t>(pos),
-                                 buf.begin() + static_cast<std::ptrdiff_t>(pos + n));
-  pos += n;
-  return tensor::JaggedTensor(std::move(values), std::move(offsets));
-}
-
-// Reads the next rows x d floats of an embedding or gradient frame.
-nn::DenseMatrix ReadRows(const std::vector<float>& buf, std::size_t& pos,
-                         std::size_t rows, std::size_t d) {
-  if (rows * d > buf.size() - pos) {
-    throw std::runtime_error("DistributedTrainer: truncated float frame");
-  }
-  nn::DenseMatrix m(rows, d);
-  std::copy_n(buf.begin() + static_cast<std::ptrdiff_t>(pos), rows * d,
-              m.data().begin());
-  pos += rows * d;
-  return m;
+bool HasRows(const OwnedInput& in, std::size_t rows) {
+  if (in.dedup) return in.inverse.size() == rows;
+  return std::all_of(in.jts.begin(), in.jts.end(),
+                     [rows](const auto& jt) { return jt.num_rows() == rows; });
 }
 
 }  // namespace
+
+// An SDD payload counts as int64 words: a dedup unit as [m, U,
+// inverse(m)] then per feature [n, offsets(U), values(n)]; a plain unit
+// as per feature [m, n, offsets(m), values(n)].
+template <>
+std::size_t WireBytes(const std::vector<OwnedInput>& units) {
+  std::size_t words = 0;
+  for (const auto& in : units) {
+    words += in.dedup ? 2 + in.inverse.size() : in.jts.size();
+    for (const auto& jt : in.jts) {
+      words += 1 + jt.num_rows() + jt.total_values();
+    }
+  }
+  return words * sizeof(std::int64_t);
+}
+
+// An embedding or gradient payload counts its rows x d floats per unit.
+template <>
+std::size_t WireBytes(const std::vector<nn::DenseMatrix>& units) {
+  std::size_t floats = 0;
+  for (const auto& m : units) floats += m.data().size();
+  return floats * sizeof(float);
+}
 
 void ExchangeCounters::Add(const ExchangeCounters& other) {
   sdd_bytes += other.sdd_bytes;
@@ -268,8 +255,8 @@ float DistributedTrainer::Step(const reader::PreprocessedBatch& batch) {
     RunRank(0, batch, expanded, rank_bounds, &losses[0]);
     return losses[0];
   }
-  // Should a rank still fail mid-exchange (allocation failure, frame
-  // corruption), the collectives are aborted so every peer unwinds
+  // Should a rank still fail mid-exchange (allocation failure, a row
+  // count mismatch), the collectives are aborted so every peer unwinds
   // instead of waiting at a barrier forever; the first failure is
   // rethrown and the trainer is poisoned (later Steps throw too).
   std::mutex error_mutex;
@@ -341,129 +328,95 @@ void DistributedTrainer::RunRank(
     }
   }
 
-  // --- Phase 1: SDD all-to-all (sparse ids to the table owners).
-  std::vector<std::vector<std::int64_t>> sdd_send(num_ranks);
-  for (std::size_t u = 0; u < units_.size(); ++u) {
-    auto& out = sdd_send[unit_owner_[u]];
-    if (local[u].dedup) {
-      const auto& ik = local[u].ikjt;
-      out.push_back(static_cast<std::int64_t>(local_rows));
-      out.push_back(static_cast<std::int64_t>(ik.unique_rows()));
-      out.insert(out.end(), ik.inverse_lookup().begin(),
-                 ik.inverse_lookup().end());
-      for (std::size_t k = 0; k < ik.num_keys(); ++k) {
-        AppendJagged(out, ik.unique(k));
-      }
-      // Dedupe accounting: logical (expanded) vs shipped values.
-      for (const auto inv : ik.inverse_lookup()) {
+  // --- Phase 1: SDD all-to-all: each owner receives, per source rank,
+  // the inputs of the units it owns, in unit order.
+  std::vector<std::vector<OwnedInput>> sdd_send(num_ranks);
+  {
+    RECD_TRACE_SCOPE("train/sdd_build");
+    for (std::size_t u = 0; u < units_.size(); ++u) {
+      OwnedInput in;
+      in.dedup = local[u].dedup;
+      if (local[u].dedup) {
+        const auto& ik = local[u].ikjt;
+        in.inverse.assign(ik.inverse_lookup().begin(),
+                          ik.inverse_lookup().end());
         for (std::size_t k = 0; k < ik.num_keys(); ++k) {
-          values_logical += static_cast<std::size_t>(
-              ik.unique(k).length(static_cast<std::size_t>(inv)));
+          in.jts.push_back(ik.unique(k));
         }
-      }
-      values_shipped += ik.total_unique_values();
-    } else {
-      for (const auto& jt : local[u].expanded) {
-        out.push_back(static_cast<std::int64_t>(local_rows));
-        AppendJagged(out, jt);
+        // Dedupe accounting: logical (expanded) vs shipped values.
+        for (const auto inv : ik.inverse_lookup()) {
+          for (std::size_t k = 0; k < ik.num_keys(); ++k) {
+            values_logical += static_cast<std::size_t>(
+                ik.unique(k).length(static_cast<std::size_t>(inv)));
+          }
+        }
+        values_shipped += ik.total_unique_values();
+      } else {
+        in.jts = std::move(local[u].expanded);
         if (units_[u].deduplicated()) {
-          values_logical += jt.total_values();
-          values_shipped += jt.total_values();
+          for (const auto& jt : in.jts) {
+            values_logical += jt.total_values();
+            values_shipped += jt.total_values();
+          }
         }
       }
+      sdd_send[unit_owner_[u]].push_back(std::move(in));
     }
   }
   st.values_logical->Add(static_cast<std::int64_t>(values_logical));
   st.values_shipped->Add(static_cast<std::int64_t>(values_shipped));
-  auto sdd_recv =
-      group_.AllToAll<std::int64_t>(rank, std::move(sdd_send), Exchange::kSdd);
-
-  // Parse what each source rank sent for the units this rank owns.
-  struct OwnedInput {
-    std::vector<tensor::JaggedTensor> jts;  // unique (recd) or expanded
-    std::vector<std::int64_t> inverse;      // recd dedup units only
-  };
+  // owned_in[s][i]: owned unit i as sent by source rank s.
+  const auto owned_in =
+      group_.AllToAll<OwnedInput>(rank, std::move(sdd_send), Exchange::kSdd);
+  for (std::size_t s = 0; s < num_ranks; ++s) {
+    for (const auto& in : owned_in[s]) {
+      if (!HasRows(in, rank_bounds[s + 1] - rank_bounds[s])) {
+        throw std::runtime_error("DistributedTrainer: SDD row mismatch");
+      }
+    }
+  }
   std::vector<std::size_t> owned_units;
   for (std::size_t u = 0; u < units_.size(); ++u) {
     if (unit_owner_[u] == rank) owned_units.push_back(u);
-  }
-  // owned_in[i][s]: owned unit i as sent by source rank s.
-  std::vector<std::vector<OwnedInput>> owned_in(
-      owned_units.size(), std::vector<OwnedInput>(num_ranks));
-  for (std::size_t s = 0; s < num_ranks; ++s) {
-    const auto& buf = sdd_recv[s];
-    const std::size_t src_rows = rank_bounds[s + 1] - rank_bounds[s];
-    std::size_t pos = 0;
-    for (std::size_t i = 0; i < owned_units.size(); ++i) {
-      const auto& unit = units_[owned_units[i]];
-      auto& in = owned_in[i][s];
-      if (config_.recd && unit.deduplicated()) {
-        const auto m = static_cast<std::size_t>(ReadInt(buf, pos));
-        const auto uniq = static_cast<std::size_t>(ReadInt(buf, pos));
-        if (m != src_rows) {
-          throw std::runtime_error("DistributedTrainer: SDD row mismatch");
-        }
-        if (m > buf.size() - pos) {
-          throw std::runtime_error("DistributedTrainer: truncated SDD frame");
-        }
-        in.inverse.assign(buf.begin() + static_cast<std::ptrdiff_t>(pos),
-                          buf.begin() + static_cast<std::ptrdiff_t>(pos + m));
-        pos += m;
-        for (std::size_t k = 0; k < unit.features.size(); ++k) {
-          in.jts.push_back(ReadJagged(buf, pos, uniq));
-        }
-      } else {
-        for (std::size_t k = 0; k < unit.features.size(); ++k) {
-          const auto m = static_cast<std::size_t>(ReadInt(buf, pos));
-          if (m != src_rows) {
-            throw std::runtime_error("DistributedTrainer: SDD row mismatch");
-          }
-          in.jts.push_back(ReadJagged(buf, pos, m));
-        }
-      }
-    }
-    if (pos != buf.size()) {
-      throw std::runtime_error("DistributedTrainer: trailing SDD bytes");
-    }
   }
 
   // --- Phase 2: owner-side lookup + pooling, then the embedding
   // all-to-all (pooled rows back to the data-parallel ranks). In RecD
   // mode the owner pools *unique* rows (O5/O7 across ranks) and ships
   // those; the receiver expands through its local inverse afterwards.
-  std::vector<std::vector<float>> emb_send(num_ranks);
+  std::vector<std::vector<nn::DenseMatrix>> emb_send(num_ranks);
   for (std::size_t i = 0; i < owned_units.size(); ++i) {
-    const auto& unit = units_[owned_units[i]];
     for (std::size_t s = 0; s < num_ranks; ++s) {
-      const nn::DenseMatrix pooled =
-          PoolUnit(config_.backend, unit, owned_in[i][s].jts, st.shard);
-      const auto data = pooled.data();
-      emb_send[s].insert(emb_send[s].end(), data.begin(), data.end());
+      emb_send[s].push_back(PoolUnit(config_.backend, units_[owned_units[i]],
+                                     owned_in[s][i].jts, st.shard));
     }
   }
-  auto emb_recv =
-      group_.AllToAll<float>(rank, std::move(emb_send), Exchange::kEmb);
+  auto emb_recv = group_.AllToAll<nn::DenseMatrix>(rank, std::move(emb_send),
+                                                   Exchange::kEmb);
 
   // Reassemble this rank's pooled inputs (one batch-rows x d matrix per
   // unit, in unit order — the interaction input order).
   std::vector<nn::DenseMatrix> pooled_units(units_.size());
-  std::vector<std::size_t> read_pos(num_ranks, 0);
-  for (std::size_t u = 0; u < units_.size(); ++u) {
-    const std::size_t owner = unit_owner_[u];
-    const std::size_t rows =
-        local[u].dedup ? local[u].ikjt.unique_rows() : local_rows;
-    nn::DenseMatrix pm = ReadRows(emb_recv[owner], read_pos[owner], rows, d);
-    pooled_units[u] = local[u].dedup
-                          ? ExpandRows(pm, local[u].ikjt.inverse_lookup())
-                          : std::move(pm);
+  {
+    RECD_TRACE_SCOPE("train/reassemble");
+    std::vector<std::size_t> next(num_ranks, 0);
+    for (std::size_t u = 0; u < units_.size(); ++u) {
+      auto& pooled = emb_recv[unit_owner_[u]][next[unit_owner_[u]]++];
+      pooled_units[u] = local[u].dedup
+                            ? ExpandRows(pooled, local[u].ikjt.inverse_lookup())
+                            : std::move(pooled);
+    }
   }
 
   // --- Phase 3: replicated dense forward/backward per canonical chunk
   // (fixed-order partials for the deterministic all-reduce).
   std::vector<std::pair<std::size_t, std::vector<float>>> grad_chunks;
   std::vector<std::pair<std::size_t, std::vector<double>>> loss_chunks;
-  std::vector<nn::DenseMatrix> unit_grads(units_.size(),
-                                          nn::DenseMatrix(local_rows, d));
+  std::vector<nn::DenseMatrix> unit_grads;
+  {
+    RECD_TRACE_SCOPE("train/grad_alloc");
+    unit_grads.assign(units_.size(), nn::DenseMatrix(local_rows, d));
+  }
   const auto chunk_bounds = GradChunkBounds(batch_size);
   const std::size_t chunks_per_rank = kGradChunks / num_ranks;
   for (std::size_t c = rank * chunks_per_rank;
@@ -479,34 +432,27 @@ void DistributedTrainer::RunRank(
   // --- Phase 4: mirror gradient all-to-all; owners apply the sparse
   // updates in global batch-row order (source ranks ascending), the
   // same per-feature order ReferenceDlrm uses.
-  std::vector<std::vector<float>> grad_send(num_ranks);
+  std::vector<std::vector<nn::DenseMatrix>> grad_send(num_ranks);
   for (std::size_t u = 0; u < units_.size(); ++u) {
-    const auto data = unit_grads[u].data();
-    grad_send[unit_owner_[u]].insert(grad_send[unit_owner_[u]].end(),
-                                     data.begin(), data.end());
+    grad_send[unit_owner_[u]].push_back(std::move(unit_grads[u]));
   }
-  auto grad_recv =
-      group_.AllToAll<float>(rank, std::move(grad_send), Exchange::kGrad);
-
-  std::vector<std::size_t> grad_pos(num_ranks, 0);
+  const auto grad_recv = group_.AllToAll<nn::DenseMatrix>(
+      rank, std::move(grad_send), Exchange::kGrad);
   for (std::size_t i = 0; i < owned_units.size(); ++i) {
-    const auto& unit = units_[owned_units[i]];
     for (std::size_t s = 0; s < num_ranks; ++s) {
-      const std::size_t src_rows = rank_bounds[s + 1] - rank_bounds[s];
-      const nn::DenseMatrix grads =
-          ReadRows(grad_recv[s], grad_pos[s], src_rows, d);
-      const auto& in = owned_in[i][s];
-      const bool dedup = config_.recd && unit.deduplicated();
-      ApplyUnitGradient(unit, in.jts, dedup ? &in.inverse : nullptr,
-                        grads, config_.lr, st.shard);
+      const auto& in = owned_in[s][i];
+      ApplyUnitGradient(units_[owned_units[i]], in.jts,
+                        in.dedup ? &in.inverse : nullptr, grad_recv[s][i],
+                        config_.lr, st.shard);
     }
   }
 
   // --- Phase 5: fixed-order MLP gradient all-reduce + replicated step.
-  auto reduced = group_.AllReduceSum<float>(
-      rank, grad_chunks, st.dense.grad_width(), Exchange::kAllReduce);
-  auto loss_reduced = group_.AllReduceSum<double>(rank, loss_chunks, 1,
-                                                 Exchange::kAllReduce);
+  auto reduced =
+      group_.AllReduceSum<float>(rank, std::move(grad_chunks),
+                                 st.dense.grad_width(), Exchange::kAllReduce);
+  auto loss_reduced = group_.AllReduceSum<double>(
+      rank, std::move(loss_chunks), 1, Exchange::kAllReduce);
   ApplyDenseGradients(st.dense, reduced, config_.lr);
   *loss_out =
       static_cast<float>(loss_reduced[0] / static_cast<double>(batch_size));

@@ -7,6 +7,7 @@
 // ladder: newest checkpoint, older checkpoint when the newest is
 // corrupt, and fresh-from-seed when nothing loads.
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <atomic>
 #include <cstdio>
@@ -35,6 +36,7 @@ namespace {
 std::string TempPath(const std::string& tag) {
   static std::atomic<int> counter{0};
   return ::testing::TempDir() + "/recd_cksum_" + tag + "_" +
+         std::to_string(::getpid()) + "_" +
          std::to_string(counter.fetch_add(1));
 }
 
@@ -209,6 +211,7 @@ constexpr std::uint64_t kSeed = 42;
 std::string CheckpointDir(const std::string& tag) {
   static std::atomic<int> counter{0};
   const auto dir = ::testing::TempDir() + "/recd_ckpt_" + tag + "_" +
+                   std::to_string(::getpid()) + "_" +
                    std::to_string(counter.fetch_add(1));
   std::filesystem::remove_all(dir);
   return dir;

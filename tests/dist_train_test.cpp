@@ -6,6 +6,7 @@
 // weights and losses to single-rank ReferenceDlrm::TrainStep, baseline
 // and RecD mode alike, while RecD ships strictly fewer sparse bytes.
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <algorithm>
 #include <atomic>
@@ -117,6 +118,32 @@ TEST(CollectiveGroupTest, BytesCountOffRankPayloadOnly) {
   EXPECT_EQ(group.bytes_sent(1), 8u);
   group.ResetBytes();
   EXPECT_EQ(group.bytes_sent(0), 0u);
+}
+
+TEST(CollectiveGroupTest, AllToAllMovesPayloadsWithoutCopying) {
+  // Ranks share one address space, so a payload changes hands by move:
+  // the receiver holds the very buffer the sender moved in, for the
+  // self-send and the peer send alike.
+  CollectiveGroup group(2);
+  // sent[r][p]: the buffer rank r moved in for peer p.
+  std::vector<std::vector<const float*>> sent(
+      2, std::vector<const float*>(2, nullptr));
+  std::vector<std::vector<std::vector<float>>> got(2);
+  std::vector<std::thread> threads;
+  for (std::size_t r = 0; r < 2; ++r) {
+    threads.emplace_back([&, r] {
+      std::vector<std::vector<float>> send(2, {1.0f, 2.0f, 3.0f});
+      for (std::size_t p = 0; p < 2; ++p) sent[r][p] = send[p].data();
+      got[r] = group.AllToAll<float>(r, std::move(send), Exchange::kEmb);
+    });
+  }
+  for (auto& t : threads) t.join();
+  for (std::size_t r = 0; r < 2; ++r) {
+    for (std::size_t p = 0; p < 2; ++p) {
+      EXPECT_EQ(got[r][p].data(), sent[p][r])
+          << (p == r ? "self-send" : "peer send") << " to rank " << r;
+    }
+  }
 }
 
 // The seed/state regression the satellite asks for: the all-reduce
@@ -470,6 +497,37 @@ TEST(DistributedTrainerTest, VectorizedBackendBitwiseMatchesScalarReference) {
   }
 }
 
+// Every counter after one step, recorded when the exchanges still
+// shipped byte frames: the typed payloads must count the same bytes.
+struct CounterPin {
+  std::size_t ranks;
+  bool recd;
+  ExchangeCounters want;
+};
+constexpr CounterPin kCounterPins[] = {
+    {2, false, {102624, 688128, 688128, 5650608, 20188, 20188}},
+    {2, true, {38584, 262656, 688128, 5650608, 20188, 4993}},
+    {4, false, {156568, 1032192, 1032192, 16951824, 20188, 20188}},
+    {4, true, {61128, 408576, 1032192, 16951824, 20188, 5225}},
+};
+
+void ExpectCountersPinned(const ExchangeCounters& got, std::size_t ranks,
+                          bool recd) {
+  for (const auto& pin : kCounterPins) {
+    if (pin.ranks != ranks || pin.recd != recd) continue;
+    const std::string what = std::string(recd ? "recd" : "base") + "/" +
+                             std::to_string(ranks) + " ranks";
+    EXPECT_EQ(got.sdd_bytes, pin.want.sdd_bytes) << what;
+    EXPECT_EQ(got.emb_bytes, pin.want.emb_bytes) << what;
+    EXPECT_EQ(got.grad_bytes, pin.want.grad_bytes) << what;
+    EXPECT_EQ(got.allreduce_bytes, pin.want.allreduce_bytes) << what;
+    EXPECT_EQ(got.values_logical, pin.want.values_logical) << what;
+    EXPECT_EQ(got.values_shipped, pin.want.values_shipped) << what;
+    return;
+  }
+  ADD_FAILURE() << "no counter pin for " << ranks << " ranks";
+}
+
 TEST(DistributedTrainerTest, RecdShipsStrictlyFewerSparseBytes) {
   auto fx = MakeFixture();
   for (const std::size_t n : {2u, 4u}) {
@@ -486,6 +544,8 @@ TEST(DistributedTrainerTest, RecdShipsStrictlyFewerSparseBytes) {
 
     const auto b = base.TotalCounters();
     const auto r = recd.TotalCounters();
+    ExpectCountersPinned(b, n, false);
+    ExpectCountersPinned(r, n, true);
     EXPECT_LT(r.sdd_bytes, b.sdd_bytes) << n << " ranks";
     EXPECT_LT(r.emb_bytes, b.emb_bytes) << n << " ranks";
     EXPECT_GT(r.exchange_dedupe_factor(), 1.1) << n << " ranks";
@@ -643,6 +703,7 @@ TEST(FaultToleranceTest, KillRestoreMatrixIsBitwiseDeterministic) {
           options.total_steps = static_cast<std::size_t>(kSteps);
           options.checkpoint_every = 1;
           options.checkpoint_dir = ::testing::TempDir() + "/recd_matrix_" +
+                                   std::to_string(::getpid()) + "_" +
                                    std::to_string(combo++);
           std::filesystem::remove_all(options.checkpoint_dir);
           options.rank_schedule = {2, restore_ranks};

@@ -377,10 +377,12 @@ TEST(ObsDeterminismTest, TrainingIsBitwiseIdenticalWithObsOnOrOff) {
     EXPECT_GT(Tracer::Global().event_count(), 0u);
     const std::string trace = Tracer::Global().ToJson();
     for (const char* span :
-         {"train/prep", "train/pool", "train/bottom_fwd",
+         {"train/prep", "train/sdd_build", "train/reassemble",
+          "train/grad_alloc", "train/pool", "train/bottom_fwd",
           "train/interaction_fwd", "train/top_fwd", "train/top_bwd",
           "train/interaction_bwd", "train/bottom_bwd", "train/flatten",
-          "train/sparse_update", "train/optimizer"}) {
+          "train/sparse_update", "train/allreduce_sum",
+          "train/optimizer"}) {
       EXPECT_NE(trace.find("\"name\":\"" + std::string(span) + "\""),
                 std::string::npos)
           << span << " missing at ranks=" << ranks;

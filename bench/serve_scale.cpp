@@ -8,22 +8,30 @@
 // (serve::ScaleTrace), so scores stay bitwise identical across every
 // run while queueing behavior sweeps from idle to overload. Four
 // configs trace the latency-QPS frontier: {baseline, RecD} × {one-size
-// default, per-model tuned}, where the tuned fleet comes from the
-// offline tail-latency scheduler (serve::TuneFleet) driven by a
-// ServiceModel calibrated against this host. Load points are chosen
-// relative to the calibrated capacity of the default fleet, so the
-// sweep crosses the knee on any host speed.
+// default, per-model tuned}. Tuning is measured, per policy: every
+// candidate of a small (batch cap, window, workers) grid serves the
+// whole zoo through serve::ServerRunner at the tuning load, and each
+// lane takes the candidate with its lowest exact p99. Load points are
+// chosen relative to the measured capacity of the default fleet, so
+// the sweep crosses the knee on any host speed. Every percentile
+// reported is exact, computed from the scored requests' latencies.
 //
 // Hard checks (full mode): the sweep saturates the default fleet
-// (achieved < offered at top load), the tuned fleet's p99 strictly
-// beats the one-size default at the overload point, and all runs score
-// all requests bitwise identically. Writes BENCH_serve_scale.json with
-// --json.
+// (achieved < offered at top load), RecD's tuned fleet strictly beats
+// RecD's one-size default on p99 at the tuning load, and all runs
+// score all requests bitwise identically. Writes BENCH_serve_scale.json
+// with --json.
+#include <algorithm>
 #include <cstdio>
+#include <limits>
+#include <map>
+#include <optional>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "bench_util.h"
+#include "common/stats.h"
 #include "datagen/presets.h"
 #include "obs/metrics.h"
 #include "serve/model_zoo.h"
@@ -40,7 +48,7 @@ namespace {
 /// RM1/RM2 are light, RM3 is several times heavier per row — while
 /// every model gets the same one-size-fits-all batching default and
 /// one worker. That mismatch (a heavy lane starved, light lanes
-/// over-delayed) is exactly what the per-model scheduler improves on.
+/// over-delayed) is exactly what per-lane tuning improves on.
 serve::FleetSpec MakeDefaultFleet(const datagen::DatasetSpec& dataset) {
   serve::FleetSpec fleet;
   for (const auto kind : {datagen::RmKind::kRm1, datagen::RmKind::kRm2,
@@ -64,28 +72,65 @@ serve::FleetSpec MakeDefaultFleet(const datagen::DatasetSpec& dataset) {
   return fleet;
 }
 
-void PrintRow(const std::string& label, const serve::ServeStats& s) {
-  std::printf("%-22s %8.0f %8.0f %8.1f %9.0f %9.0f %9.0f %7.2fx\n",
-              label.c_str(), s.offered_qps, s.achieved_qps,
-              s.mean_batch_rows, s.latency_p50_us(), s.latency_p95_us(),
-              s.latency_p99_us(), s.request_dedupe_factor);
+/// One tuning candidate: every lane of the zoo batches and serves with
+/// it during its replay.
+struct Candidate {
+  std::size_t max_batch_requests;
+  std::int64_t max_delay_us;
+  std::size_t workers;
+
+  [[nodiscard]] std::string label() const {
+    char label[64];
+    std::snprintf(label, sizeof label, "b%zu_w%ld_n%zu", max_batch_requests,
+                  static_cast<long>(max_delay_us), workers);
+    return label;
+  }
+  [[nodiscard]] serve::BatcherOptions batcher() const {
+    return {.max_batch_requests = max_batch_requests,
+            .max_delay_us = max_delay_us};
+  }
+};
+
+/// Exact latency percentiles (µs) of the scored requests — of one lane
+/// when `model_id` is set.
+struct Latency {
+  double p50_us = 0, p95_us = 0, p99_us = 0;
+};
+
+Latency ExactLatency(const std::vector<serve::ScoredRequest>& requests,
+                     std::optional<std::size_t> model_id = std::nullopt) {
+  std::vector<double> xs;
+  for (const auto& r : requests) {
+    if (!model_id || r.model_id == *model_id) {
+      xs.push_back(static_cast<double>(r.latency_us));
+    }
+  }
+  return {common::Percentile(xs, 0.5), common::Percentile(xs, 0.95),
+          common::Percentile(xs, 0.99)};
 }
 
-void AddFrontierRow(JsonReport& report, const std::string& prefix,
-                    const serve::ServeStats& s) {
+void PrintRow(const std::string& label, const serve::ServeStats& s,
+              const Latency& l) {
+  std::printf("%-26s %8.0f %8.0f %8.1f %9.0f %9.0f %9.0f %7.2fx\n",
+              label.c_str(), s.offered_qps, s.achieved_qps,
+              s.mean_batch_rows, l.p50_us, l.p95_us, l.p99_us,
+              s.request_dedupe_factor);
+}
+
+void AddServeRows(JsonReport& report, const std::string& prefix,
+                  const serve::ServeStats& s, const Latency& l) {
   report.Add(prefix + "_offered_qps", s.offered_qps, std::nullopt, "req/s");
   report.Add(prefix + "_achieved_qps", s.achieved_qps, std::nullopt,
              "req/s");
-  report.Add(prefix + "_latency_p50_us", s.latency_p50_us(), std::nullopt,
-             "us");
-  report.Add(prefix + "_latency_p95_us", s.latency_p95_us(), std::nullopt,
-             "us");
-  report.Add(prefix + "_latency_p99_us", s.latency_p99_us(), std::nullopt,
-             "us");
+  report.Add(prefix + "_latency_p50_us", l.p50_us, std::nullopt, "us");
+  report.Add(prefix + "_latency_p95_us", l.p95_us, std::nullopt, "us");
+  report.Add(prefix + "_latency_p99_us", l.p99_us, std::nullopt, "us");
   report.Add(prefix + "_mean_batch_rows", s.mean_batch_rows, std::nullopt,
              "rows");
   report.Add(prefix + "_request_dedupe_factor", s.request_dedupe_factor,
              std::nullopt, "x");
+  report.Add(prefix + "_embedding_lookups", s.embedding_lookups,
+             std::nullopt, "rows");
 }
 
 bool SameScores(const std::vector<serve::ScoredRequest>& a,
@@ -133,70 +178,11 @@ int main(int argc, char** argv) {
 
   obs::MetricsSnapshot obs_snapshot;
 
-  // ---- Calibrate a per-lane service model on this host. --------------
-  // One lane at a time, one worker, replay mode: the pump never sleeps,
-  // so wall time is pure compute and wall/batches is the true per-batch
-  // service time (pacing it instead would measure the arrival rate).
-  // Arrivals are compressed so the virtual batching windows actually
-  // coalesce full batches. Two batch shapes give a two-point fit of
-  // service_us = overhead + us_per_row * rows; with RecD serving, the
-  // fit also captures dedupe amortization — wide batches come out
-  // cheaper per row, which is what steers the tuner toward coalescing.
-  // Per-lane fits matter because the zoo is heterogeneous: the tuner
-  // must see that an RM3 row costs several RM1 rows.
-  PrintHeader("serving at scale: per-lane service-model calibration");
-  std::vector<serve::ServiceModel> services;
-  for (std::size_t m = 0; m < fleet.num_models(); ++m) {
-    const auto sub = serve::SubTraceForModel(trace, m);
-    auto calib_spec = trace_spec;
-    calib_spec.query.num_models = 1;
-    const auto measure = [&](std::size_t max_batch, std::int64_t window) {
-      serve::ServerRunner runner(calib_spec,
-                                 serve::FleetSpec::Single(fleet.models[m]),
-                                 serve::ScaleTrace(sub, 50.0));
-      auto policy = serve::RunPolicy::Recd();
-      policy.batcher = serve::BatcherOptions{
-          .max_batch_requests = max_batch, .max_delay_us = window};
-      const auto r = runner.Run(policy);
-      obs_snapshot.Merge(r.obs_metrics);
-      return r.stats;
-    };
-    const auto one = measure(1, 0);        // singleton batches
-    const auto wide = measure(16, 5'000);  // coalesced batches
-    const double t_one = one.wall_s * 1e6 / static_cast<double>(one.batches);
-    const double t_wide =
-        wide.wall_s * 1e6 / static_cast<double>(wide.batches);
-    serve::ServiceModel service;
-    if (wide.mean_batch_rows > one.mean_batch_rows && t_wide > t_one) {
-      service.us_per_row =
-          (t_wide - t_one) / (wide.mean_batch_rows - one.mean_batch_rows);
-      service.batch_overhead_us =
-          std::max(0.0, t_one - service.us_per_row * one.mean_batch_rows);
-    } else {
-      // Two-point fit degenerate on this host: amortize everything
-      // into the slope from the coalesced run.
-      service = serve::ServiceModel::FromMeasured(
-          wide.rows_per_second, wide.mean_batch_rows, t_wide);
-    }
-    std::printf("  %-14s batch=1: %5.0f us (%5.1f rows)  batch=16: %6.0f "
-                "us (%6.1f rows)  fit: %.0f + %.1f*rows\n",
-                fleet.models[m].name.c_str(), t_one, one.mean_batch_rows,
-                t_wide, wide.mean_batch_rows, service.batch_overhead_us,
-                service.us_per_row);
-    const std::string prefix = "service_m" + std::to_string(m);
-    report.Add(prefix + "_batch_overhead_us", service.batch_overhead_us,
-               std::nullopt, "us");
-    report.Add(prefix + "_us_per_row", service.us_per_row, std::nullopt,
-               "us");
-    services.push_back(service);
-  }
-
   // ---- Probe the default fleet's real capacity. ----------------------
   // The load sweep targets utilization fractions of the *measured*
-  // paced capacity (not the fit — the fit is per-lane-in-isolation and
-  // misses pump and core contention), so it crosses the knee regardless
-  // of host speed. Offer far more than any plausible capacity; the
-  // achieved rate under that overload is the capacity.
+  // paced capacity, so it crosses the knee regardless of host speed.
+  // Offer far more than any plausible capacity; the achieved rate under
+  // that overload is the capacity.
   const double base_offered_qps =
       static_cast<double>(trace.size()) /
       (static_cast<double>(trace.back().arrival_us) / 1e6);
@@ -218,59 +204,107 @@ int main(int argc, char** argv) {
                std::nullopt, "req/s");
   }
 
-  // ---- Tune each lane offline against the overload point. ------------
-  PrintHeader("serving at scale: offline tail-latency scheduler");
-  serve::TuneOptions tune_opts;
-  // An 8 ms p99 SLA is structurally out of reach for the one-size
-  // default — its own 10 ms batching window already exceeds it — so the
-  // climber must walk the per-model windows down (and may spend batch
-  // size or workers) to meet it.
-  tune_opts.sla_p99_us = 8'000;
-  tune_opts.max_workers = 4;
-  tune_opts.max_batch_requests = 64;
-  tune_opts.max_delay_us = 20'000;
-  tune_opts.min_delay_us = 500;  // keep some coalescing (see TuneOptions)
+  bool scores_ok = true;  // every run vs the capacity probe's scores
+  // Paced run of `config_fleet` over `trace` at `load` x the base trace
+  // rate; prints and records its row group under `label`.
+  const auto serve_at = [&](const std::string& label, double load,
+                            const serve::FleetSpec& config_fleet,
+                            const serve::RunPolicy& policy) {
+    auto run_spec = trace_spec;
+    run_spec.query.qps = trace_spec.query.qps * load;
+    serve::ServerRunner runner(run_spec, config_fleet,
+                               serve::ScaleTrace(trace, load));
+    auto result = runner.Run(policy);
+    obs_snapshot.Merge(result.obs_metrics);
+    const auto latency = ExactLatency(result.requests);
+    PrintRow(label, result.stats, latency);
+    AddServeRows(report, label, result.stats, latency);
+    if (!SameScores(reference_scores, result.requests)) {
+      std::printf("FAIL: %s scored differently from the capacity probe\n",
+                  label.c_str());
+      scores_ok = false;
+    }
+    return result;
+  };
+  const auto print_columns = [] {
+    std::printf("%-26s %8s %8s %8s %9s %9s %9s %8s\n", "config", "offered",
+                "achieved", "b.rows", "p50us", "p95us", "p99us", "dedupe");
+    PrintRule();
+  };
+
+  // ---- Tune each lane by measured replay at the tuning load. ---------
   // Tune for (and later compare at) a comfortably feasible point of the
   // sweep: there the default's fixed 10 ms window dominates its tail
   // structurally, while near and past the knee every config degenerates
-  // to noisy pure queueing.
+  // to noisy pure queueing. Each policy tunes on its own runs, since
+  // the baseline's per-row cost is higher than RecD's.
   const double kAssertUtilization = 0.4;
-  const auto tune_trace =
-      serve::ScaleTrace(trace, kAssertUtilization * unit_load);
-  serve::FleetTuning tuned;
-  for (std::size_t m = 0; m < fleet.num_models(); ++m) {
-    tuned.lanes.push_back(serve::TuneLane(
-        serve::SubTraceForModel(tune_trace, m), services[m], tune_opts,
-        fleet.models[m].batcher, fleet.workers_for(m)));
+  const double tune_load = kAssertUtilization * unit_load;
+  std::vector<Candidate> grid;  // includes the one-size default
+  for (const std::int64_t window :
+       SmokeOr<std::vector<std::int64_t>>({500, 2'000, 10'000},
+                                          {500, 10'000})) {
+    for (const std::size_t batch : {16u, 64u}) {
+      for (const std::size_t workers : {1u, 2u}) {
+        grid.push_back({batch, window, workers});
+      }
+    }
   }
-  auto tuned_fleet = fleet;
-  tuned_fleet.workers = tuned.workers();
-  std::printf("  %-14s %8s %10s %8s %12s %6s\n", "model", "batch",
-              "window_us", "workers", "sim_p99_us", "sla");
-  for (std::size_t m = 0; m < tuned.lanes.size(); ++m) {
-    const auto& lane = tuned.lanes[m];
-    std::printf("  %-14s %8zu %10ld %8zu %12.0f %6s\n",
-                fleet.models[m].name.c_str(),
-                lane.batcher.max_batch_requests,
-                static_cast<long>(lane.batcher.max_delay_us), lane.workers,
-                lane.p99_us, lane.meets_sla ? "met" : "MISS");
-    const std::string prefix = "tuned_m" + std::to_string(m);
-    report.Add(prefix + "_max_batch_requests",
-               static_cast<double>(lane.batcher.max_batch_requests),
-               std::nullopt, "req");
-    report.Add(prefix + "_max_delay_us",
-               static_cast<double>(lane.batcher.max_delay_us), std::nullopt,
-               "us");
-    report.Add(prefix + "_workers", static_cast<double>(lane.workers),
-               std::nullopt, "threads");
-    report.Add(prefix + "_sim_p99_us", lane.p99_us, std::nullopt, "us");
+  // Each policy's tuned fleet and per-lane batchers, indexed by recd.
+  serve::FleetSpec tuned_fleet[2] = {fleet, fleet};
+  std::map<std::size_t, serve::BatcherOptions> tuned_batchers[2];
+  PrintHeader("serving at scale: measured per-lane tuning (paced, u40)");
+  print_columns();
+  for (const bool recd : {false, true}) {
+    const std::string policy_name = recd ? "recd" : "base";
+    // best[m] = (lane p99, workers, grid index): the tuple order breaks
+    // p99 ties toward fewer workers, then the earlier candidate.
+    std::vector<std::tuple<double, std::size_t, std::size_t>> best(
+        fleet.num_models(),
+        {std::numeric_limits<double>::infinity(), 0, 0});
+    for (std::size_t c = 0; c < grid.size(); ++c) {
+      auto candidate_fleet = fleet;
+      candidate_fleet.default_workers = grid[c].workers;
+      auto policy =
+          recd ? serve::RunPolicy::Recd() : serve::RunPolicy::Baseline();
+      policy.pace_arrivals = true;
+      policy.batcher = grid[c].batcher();
+      const auto result =
+          serve_at(policy_name + "_cand_" + grid[c].label(), tune_load,
+                   candidate_fleet, policy);
+      std::printf("  lane p99us:");
+      for (std::size_t m = 0; m < fleet.num_models(); ++m) {
+        const double p99 = ExactLatency(result.requests, m).p99_us;
+        std::printf(" %9.0f", p99);
+        best[m] = std::min(best[m], {p99, grid[c].workers, c});
+      }
+      std::printf("\n");
+    }
+    tuned_fleet[recd].workers.clear();
+    for (std::size_t m = 0; m < fleet.num_models(); ++m) {
+      const auto [p99, workers, c] = best[m];
+      tuned_fleet[recd].workers.push_back(workers);
+      tuned_batchers[recd].emplace(m, grid[c].batcher());
+      std::printf("  %s pick %-14s %s (lane p99 %.0f us)\n",
+                  policy_name.c_str(), fleet.models[m].name.c_str(),
+                  grid[c].label().c_str(), p99);
+      const std::string prefix =
+          "tuned_" + policy_name + "_m" + std::to_string(m);
+      report.Add(prefix + "_max_batch_requests",
+                 static_cast<double>(grid[c].max_batch_requests),
+                 std::nullopt, "req");
+      report.Add(prefix + "_max_delay_us",
+                 static_cast<double>(grid[c].max_delay_us), std::nullopt,
+                 "us");
+      report.Add(prefix + "_workers", static_cast<double>(workers),
+                 std::nullopt, "threads");
+      report.Add(prefix + "_p99_us", p99, std::nullopt, "us");
+    }
   }
 
   // ---- Latency-QPS frontier: sweep offered load past the knee. -------
   PrintHeader("serving at scale: latency-QPS frontier (paced)");
-  std::printf("%-22s %8s %8s %8s %9s %9s %9s %8s\n", "config", "offered",
-              "achieved", "b.rows", "p50us", "p95us", "p99us", "dedupe");
-  PrintRule();
+  print_columns();
 
   const double utilizations[] = {0.4, 0.8, 1.2, 1.8};
   struct ConfigDef {
@@ -283,51 +317,33 @@ int main(int argc, char** argv) {
                                {"base_tuned", false, true},
                                {"recd_tuned", true, true}};
 
-  bool scores_ok = true;  // every run vs the capacity probe's scores
-  // p99 and saturation at the overload point, keyed by config name.
-  double default_p99 = 0, tuned_p99 = 0;
+  // p99 at the tuning load, [recd][use_tuned]; saturation at the top.
+  double compare_p99[2][2] = {};
   double knee_offered = 0, knee_achieved = 0;
 
   for (const double u : utilizations) {
-    const double load = u * unit_load;
-    const auto scaled = serve::ScaleTrace(trace, load);
-    auto run_spec = trace_spec;
-    run_spec.query.qps = trace_spec.query.qps * load;
     for (const auto& config : configs) {
-      serve::ServerRunner runner(
-          run_spec, config.use_tuned ? tuned_fleet : fleet, scaled);
       auto policy =
           config.recd ? serve::RunPolicy::Recd() : serve::RunPolicy::Baseline();
       policy.pace_arrivals = true;
-      if (config.use_tuned) {
-        policy.batcher_overrides = tuned.batcher_overrides();
-      }
-      const auto result = runner.Run(policy);
-      obs_snapshot.Merge(result.obs_metrics);
-
+      if (config.use_tuned) policy.batcher_overrides = tuned_batchers[config.recd];
       const std::string label = std::string(config.name) + "_u" +
                                 std::to_string(static_cast<int>(u * 100));
-      PrintRow(label, result.stats);
-      AddFrontierRow(report, label, result.stats);
-
-      if (!SameScores(reference_scores, result.requests)) {
-        std::printf("FAIL: %s scored differently from the first run\n",
-                    label.c_str());
-        scores_ok = false;
-      }
+      const auto result = serve_at(
+          label, u * unit_load,
+          config.use_tuned ? tuned_fleet[config.recd] : fleet, policy);
       if (u == 1.8 && std::string(config.name) == "base_default") {
         knee_offered = result.stats.offered_qps;
         knee_achieved = result.stats.achieved_qps;
       }
       if (u == kAssertUtilization) {
-        if (std::string(config.name) == "recd_default") {
-          default_p99 = result.stats.latency_p99_us();
-        } else if (std::string(config.name) == "recd_tuned") {
-          tuned_p99 = result.stats.latency_p99_us();
-        }
+        compare_p99[config.recd][config.use_tuned] =
+            ExactLatency(result.requests).p99_us;
       }
     }
   }
+  const double default_p99 = compare_p99[1][0];
+  const double tuned_p99 = compare_p99[1][1];
 
   // ---- Acceptance checks. --------------------------------------------
   bool ok = scores_ok;
@@ -335,9 +351,10 @@ int main(int argc, char** argv) {
   std::printf("\nknee: offered %.0f qps, achieved %.0f qps (%s)\n",
               knee_offered, knee_achieved,
               saturated ? "past saturation" : "NOT saturated");
-  std::printf("p99 at u=%d%%: default %.0f us vs tuned %.0f us\n",
+  std::printf("p99 at u=%d%%: recd default %.0f us vs tuned %.0f us; "
+              "base default %.0f us vs tuned %.0f us\n",
               static_cast<int>(kAssertUtilization * 100), default_p99,
-              tuned_p99);
+              tuned_p99, compare_p99[0][0], compare_p99[0][1]);
   report.Add("knee_saturation_ratio",
              knee_offered > 0 ? knee_achieved / knee_offered : 0,
              std::nullopt, "frac");
@@ -345,6 +362,10 @@ int main(int argc, char** argv) {
              "frac");
   report.Add("compare_default_p99_us", default_p99, std::nullopt, "us");
   report.Add("compare_tuned_p99_us", tuned_p99, std::nullopt, "us");
+  report.Add("compare_base_default_p99_us", compare_p99[0][0], std::nullopt,
+             "us");
+  report.Add("compare_base_tuned_p99_us", compare_p99[0][1], std::nullopt,
+             "us");
   report.Add("scores_bitwise_identical", scores_ok ? 1 : 0, std::nullopt,
              "bool");
   if (!SmokeMode()) {
@@ -355,8 +376,8 @@ int main(int argc, char** argv) {
       ok = false;
     }
     if (!(tuned_p99 < default_p99)) {
-      std::printf("FAIL: tuned p99 did not strictly beat the one-size "
-                  "default at the overload point\n");
+      std::printf("FAIL: RecD's tuned p99 did not strictly beat its "
+                  "one-size default at the tuning load\n");
       ok = false;
     }
   }

@@ -13,8 +13,9 @@
 //     on unique rows only, and still produces bitwise-identical
 //     prediction scores.
 //  3. The SLA lever — widening the batching window trades queueing
-//     delay for bigger batches and more cross-request dedupe, the
-//     sweep bench_serve_qps measures under real pacing.
+//     delay for bigger batches and more cross-request dedupe; under
+//     real pacing, bench_serve_scale measures each window per policy
+//     and tunes every lane by its measured p99.
 //  4. The model zoo — requests route across heterogeneous models, each
 //     with its own batcher and worker lane; per-model stats come back
 //     alongside the fleet totals (bench_serve_scale at full scale).

@@ -8,7 +8,7 @@ cd "$(dirname "$0")/.."
 
 cmake --preset release
 cmake --build build -j --target bench_paper bench_fig10_reader_breakdown \
-  bench_stream_window_sweep bench_serve_qps bench_dist_train \
+  bench_stream_window_sweep bench_dist_train \
   bench_checkpoint bench_micro_kernels bench_embstore_tiering \
   bench_serve_scale
 
@@ -21,7 +21,6 @@ export RECD_BENCH_COMMIT RECD_BENCH_BUILD_TYPE
 ./build/bench_paper --json BENCH_paper.json
 ./build/bench_fig10_reader_breakdown --json BENCH_fig10_reader_breakdown.json
 ./build/bench_stream_window_sweep --json BENCH_stream_window_sweep.json
-./build/bench_serve_qps --json BENCH_serve_qps.json
 ./build/bench_serve_scale --json BENCH_serve_scale.json
 ./build/bench_dist_train --json BENCH_dist_train.json
 ./build/bench_checkpoint --json BENCH_checkpoint.json

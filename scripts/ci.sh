@@ -10,8 +10,8 @@
 #               `tsan` (tests/CMakeLists.txt), every bench target in
 #               smoke mode (each bench's built-in bitwise checks:
 #               bench_paper TrainStep scalar == vectorized, embstore
-#               tiered == dense, serve_scale scores equal across
-#               fleets), then a traced
+#               tiered == dense, serve_scale scores equal across every
+#               tuning replay and frontier run), then a traced
 #               dist-train smoke run asserting the Chrome trace carries
 #               spans for all four exchanges and every train/* step span
 #   lint        BENCH_*.json schema lint (validate_bench_json.py)

@@ -12,7 +12,8 @@ shape — a "series" list of {name, labels, kind, value|histogram-stats}
 objects and a matching "series_count" — and for the reports listed in
 OBS_REQUIRED the block is mandatory. BENCH_serve_scale.json additionally
 must carry a complete latency-QPS frontier (every config x load cell
-with ordered percentiles) and at least three tuned-lane key groups.
+with ordered percentiles) and at least three tuned-lane key groups per
+serving policy.
 Stale or hand-edited files fail CI here instead of silently shipping
 unreproducible numbers.
 
@@ -44,7 +45,6 @@ REQUIRED_REPORTS = (
     "BENCH_fig10_reader_breakdown.json",
     "BENCH_micro_kernels.json",
     "BENCH_paper.json",
-    "BENCH_serve_qps.json",
     "BENCH_serve_scale.json",
     "BENCH_stream_window_sweep.json",
 )
@@ -53,7 +53,6 @@ REQUIRED_REPORTS = (
 # missing means the obs wiring regressed, so its absence fails the lint.
 OBS_REQUIRED = (
     "BENCH_dist_train.json",
-    "BENCH_serve_qps.json",
     "BENCH_serve_scale.json",
 )
 
@@ -61,16 +60,18 @@ OBS_KINDS = ("counter", "gauge", "histogram")
 
 # The serve-scale report's latency-QPS frontier: every (config, load)
 # cell must carry this full key group, the percentiles must be ordered,
-# and at least three tuned models must be recorded. Structural checks
-# only — the perf claims themselves are asserted by the bench binary.
+# and each policy must record at least three tuned lanes (its measured
+# pick per model). Structural checks only — the perf claims themselves
+# are asserted by the bench binary.
 FRONTIER_CONFIGS = ("base_default", "recd_default", "base_tuned",
                     "recd_tuned")
 FRONTIER_LOADS = ("u40", "u80", "u120", "u180")
 FRONTIER_KEYS = ("offered_qps", "achieved_qps", "latency_p50_us",
                  "latency_p95_us", "latency_p99_us", "mean_batch_rows",
                  "request_dedupe_factor")
+TUNED_POLICIES = ("base", "recd")
 TUNED_LANE_KEYS = ("max_batch_requests", "max_delay_us", "workers",
-                   "sim_p99_us")
+                   "p99_us")
 
 
 def check_serve_scale(metrics):
@@ -103,15 +104,17 @@ def check_serve_scale(metrics):
                     f"frontier cell {cell} percentiles out of order: "
                     f"p50={p50} p95={p95} p99={p99}")
 
-    lanes = 0
-    while all(
-        measured(f"tuned_m{lanes}_{k}") is not None for k in TUNED_LANE_KEYS
-    ):
-        lanes += 1
-    if lanes < 3:
-        errors.append(
-            f"only {lanes} fully-recorded tuned_m<N>_* lane groups; "
-            f"need >= 3 (keys {TUNED_LANE_KEYS})")
+    for policy in TUNED_POLICIES:
+        lanes = 0
+        while all(
+            measured(f"tuned_{policy}_m{lanes}_{k}") is not None
+            for k in TUNED_LANE_KEYS
+        ):
+            lanes += 1
+        if lanes < 3:
+            errors.append(
+                f"only {lanes} fully-recorded tuned_{policy}_m<N>_* lane "
+                f"groups; need >= 3 (keys {TUNED_LANE_KEYS})")
     return errors
 
 

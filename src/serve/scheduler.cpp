@@ -1,197 +1,9 @@
 #include "serve/scheduler.h"
 
-#include <algorithm>
 #include <cmath>
-#include <map>
 #include <stdexcept>
-#include <tuple>
-#include <utility>
-
-#include "serve/query_gen.h"
 
 namespace recd::serve {
-
-ServiceModel ServiceModel::FromMeasured(double rows_per_second,
-                                        double mean_batch_rows,
-                                        double mean_batch_us) {
-  if (rows_per_second <= 0 || mean_batch_rows <= 0 || mean_batch_us <= 0) {
-    throw std::invalid_argument(
-        "ServiceModel::FromMeasured: all measurements must be > 0");
-  }
-  ServiceModel model;
-  model.us_per_row = 1e6 / rows_per_second;
-  model.batch_overhead_us =
-      std::max(0.0, mean_batch_us - model.us_per_row * mean_batch_rows);
-  return model;
-}
-
-LaneSimResult SimulateLane(const std::vector<Request>& trace,
-                           const BatcherOptions& options, std::size_t workers,
-                           const ServiceModel& service) {
-  if (workers == 0) {
-    throw std::invalid_argument("SimulateLane: workers must be >= 1");
-  }
-  Batcher batcher(options);
-  // free_at[w]: when server w finishes its current batch. Earliest-free
-  // dispatch with a fixed scan order keeps the sim deterministic.
-  std::vector<double> free_at(workers, 0.0);
-  LaneSimResult result;
-
-  const auto serve_batch = [&](const Batch& batch) {
-    auto slot = std::min_element(free_at.begin(), free_at.end());
-    const double start =
-        std::max(*slot, static_cast<double>(batch.formed_us));
-    const double done = start + service.ServiceUs(batch.rows());
-    *slot = done;
-    const auto done_us = static_cast<std::int64_t>(std::llround(done));
-    result.makespan_us = std::max(result.makespan_us, done_us);
-    result.batches += 1;
-    for (const auto& r : batch.requests) {
-      result.requests += 1;
-      result.latency_us.Add(
-          std::max<std::int64_t>(1, done_us - r.arrival_us));
-    }
-  };
-
-  // Same replay discipline as the runner's pump: deadline flushes fire
-  // at their deadlines, the trailing batch at its own deadline.
-  for (const auto& r : trace) {
-    if (const auto d = batcher.deadline_us(); d && *d <= r.arrival_us) {
-      if (auto batch = batcher.PollExpired(*d)) serve_batch(*batch);
-    }
-    for (auto& batch : batcher.Add(r, r.arrival_us)) serve_batch(batch);
-  }
-  if (const auto d = batcher.deadline_us()) {
-    if (auto batch = batcher.Flush(*d)) serve_batch(*batch);
-  }
-  return result;
-}
-
-namespace {
-
-// (batch size cap, window, workers) — the climber's search point.
-using Config = std::tuple<std::size_t, std::int64_t, std::size_t>;
-
-// Lexicographic objective: meet the SLA first, then shed workers, then
-// shave p99. Strictly-less comparisons make plateau behavior (and so
-// the whole climb) deterministic.
-using Objective = std::tuple<double, std::size_t, double>;
-
-Objective ObjectiveOf(double p99, std::size_t workers, double sla) {
-  return {std::max(0.0, p99 - sla), workers, p99};
-}
-
-}  // namespace
-
-LaneTuning TuneLane(const std::vector<Request>& trace,
-                    const ServiceModel& service, const TuneOptions& options,
-                    BatcherOptions seed_batcher, std::size_t seed_workers) {
-  if (options.max_workers == 0 || options.max_batch_requests == 0 ||
-      options.max_steps == 0) {
-    throw std::invalid_argument("TuneLane: bounds must be >= 1");
-  }
-  if (options.min_delay_us < 0 ||
-      options.min_delay_us > options.max_delay_us) {
-    throw std::invalid_argument(
-        "TuneLane: need 0 <= min_delay_us <= max_delay_us");
-  }
-  const auto clamp_config = [&](Config c) -> Config {
-    auto& [batch, delay, workers] = c;
-    batch = std::clamp<std::size_t>(batch, 1, options.max_batch_requests);
-    delay = std::clamp<std::int64_t>(delay, options.min_delay_us,
-                                     options.max_delay_us);
-    workers = std::clamp<std::size_t>(workers, 1, options.max_workers);
-    return c;
-  };
-
-  std::map<Config, double> cache;
-  std::size_t evaluations = 0;
-  const auto eval = [&](const Config& c) {
-    if (const auto it = cache.find(c); it != cache.end()) return it->second;
-    BatcherOptions b;
-    b.max_batch_requests = std::get<0>(c);
-    b.max_delay_us = std::get<1>(c);
-    const double p99 =
-        SimulateLane(trace, b, std::get<2>(c), service).p99_us();
-    cache.emplace(c, p99);
-    evaluations += 1;
-    return p99;
-  };
-
-  Config current = clamp_config(
-      {seed_batcher.max_batch_requests, seed_batcher.max_delay_us,
-       seed_workers});
-  double current_p99 = eval(current);
-
-  for (std::size_t step = 0; step < options.max_steps; ++step) {
-    const auto [batch, delay, workers] = current;
-    // Fixed neighbor order (first strict winner takes ties).
-    const Config neighbors[] = {
-        {batch * 2, delay, workers},
-        {batch / 2, delay, workers},
-        {batch, delay > 0 ? delay * 2 : 250, workers},
-        {batch, delay / 2, workers},
-        {batch, delay, workers + 1},
-        {batch, delay, workers > 1 ? workers - 1 : 1},
-    };
-    Config best = current;
-    double best_p99 = current_p99;
-    auto best_obj =
-        ObjectiveOf(current_p99, std::get<2>(current), options.sla_p99_us);
-    for (const auto& raw : neighbors) {
-      const Config n = clamp_config(raw);
-      if (n == current) continue;
-      const double p99 = eval(n);
-      const auto obj = ObjectiveOf(p99, std::get<2>(n), options.sla_p99_us);
-      if (obj < best_obj) {
-        best = n;
-        best_p99 = p99;
-        best_obj = obj;
-      }
-    }
-    if (best == current) break;  // local optimum
-    current = best;
-    current_p99 = best_p99;
-  }
-
-  LaneTuning tuning;
-  tuning.batcher.max_batch_requests = std::get<0>(current);
-  tuning.batcher.max_delay_us = std::get<1>(current);
-  tuning.workers = std::get<2>(current);
-  tuning.p99_us = current_p99;
-  tuning.meets_sla = current_p99 <= options.sla_p99_us;
-  tuning.evaluations = evaluations;
-  return tuning;
-}
-
-std::map<std::size_t, BatcherOptions> FleetTuning::batcher_overrides() const {
-  std::map<std::size_t, BatcherOptions> overrides;
-  for (std::size_t m = 0; m < lanes.size(); ++m) {
-    overrides.emplace(m, lanes[m].batcher);
-  }
-  return overrides;
-}
-
-std::vector<std::size_t> FleetTuning::workers() const {
-  std::vector<std::size_t> counts;
-  counts.reserve(lanes.size());
-  for (const auto& lane : lanes) counts.push_back(lane.workers);
-  return counts;
-}
-
-FleetTuning TuneFleet(const std::vector<Request>& trace,
-                      const FleetSpec& fleet, const ServiceModel& service,
-                      const TuneOptions& options) {
-  fleet.Validate();
-  FleetTuning tuning;
-  tuning.lanes.reserve(fleet.num_models());
-  for (std::size_t m = 0; m < fleet.num_models(); ++m) {
-    tuning.lanes.push_back(TuneLane(SubTraceForModel(trace, m), service,
-                                    options, fleet.models[m].batcher,
-                                    fleet.workers_for(m)));
-  }
-  return tuning;
-}
 
 std::vector<Request> ScaleTrace(std::vector<Request> trace,
                                 double load_factor) {

@@ -1,136 +1,15 @@
-// Offline tail-latency scheduler (DeepRecSys-style).
+// Load scaling for recorded serving traces.
 //
-// DeepRecSys' scheduler picks per-model batching and parallelism by
-// hill-climbing a latency/throughput objective against recorded
-// traffic. We reproduce that shape offline: replay a model's sub-trace
-// through its Batcher (the real one — same flush rules as serving) and
-// a deterministic discrete-event queue of `workers` identical servers
-// whose per-batch service time comes from a two-parameter ServiceModel.
-// The climber then walks (max_batch_requests, max_delay_us, workers)
-// to meet a p99 SLA with the fewest workers.
-//
-// Everything here is pure arithmetic over the trace — no threads, no
-// clocks — so a tuning run is a deterministic function of
-// (trace, ServiceModel, TuneOptions, seed config): the property the
-// scheduler determinism test asserts. The output plugs straight back
-// into the serving spec: LaneTuning::batcher per model via
-// RunPolicy::batcher_overrides, worker counts via FleetSpec::workers.
+// A serving bench replays one generated trace at several offered loads
+// by compressing its arrival clock; rows, routing and ordering are
+// untouched, so every load point scores bitwise identically.
 #pragma once
 
-#include <cstdint>
-#include <map>
 #include <vector>
 
-#include "common/histogram.h"
-#include "serve/batcher.h"
-#include "serve/model_zoo.h"
 #include "serve/request.h"
 
 namespace recd::serve {
-
-/// Two-parameter cost model of one worker scoring one batch:
-/// service_us = batch_overhead_us + us_per_row * rows. Calibrate from a
-/// measured serving run (see FromMeasured) so simulated latencies track
-/// the host.
-struct ServiceModel {
-  double batch_overhead_us = 200.0;
-  double us_per_row = 25.0;
-
-  [[nodiscard]] double ServiceUs(std::size_t rows) const {
-    return batch_overhead_us + us_per_row * static_cast<double>(rows);
-  }
-
-  /// Fits the model to a measured run: `rows_per_second` from a
-  /// saturated serving run pins the per-row slope; the overhead is the
-  /// residual of the measured mean batch time over the slope's share.
-  /// Both inputs must be > 0.
-  [[nodiscard]] static ServiceModel FromMeasured(double rows_per_second,
-                                                 double mean_batch_rows,
-                                                 double mean_batch_us);
-};
-
-/// One simulated serving run of a single lane.
-struct LaneSimResult {
-  std::size_t requests = 0;
-  std::size_t batches = 0;
-  /// Per-request latency (µs): completion - arrival, where completion
-  /// comes from the W-server queue. Same floor (>= 1) as the server.
-  common::Histogram latency_us;
-  /// Completion time of the last batch — the simulated makespan.
-  std::int64_t makespan_us = 0;
-
-  [[nodiscard]] double p99_us() const { return latency_us.Percentile(0.99); }
-};
-
-/// Replays `trace` (one lane's requests, arrival-ordered) through a
-/// Batcher with `options`, then services each formed batch on the
-/// earliest-free of `workers` identical servers under `service`.
-/// Deadline flushes fire at their deadlines, exactly like the replay
-/// pump. Open-loop: queue backpressure onto the batcher is not modeled.
-/// Throws std::invalid_argument when `workers` is 0.
-[[nodiscard]] LaneSimResult SimulateLane(const std::vector<Request>& trace,
-                                         const BatcherOptions& options,
-                                         std::size_t workers,
-                                         const ServiceModel& service);
-
-/// Hill-climber bounds and objective.
-struct TuneOptions {
-  /// The p99 SLA (µs) the climber tries to meet.
-  double sla_p99_us = 20'000;
-  std::size_t max_workers = 8;
-  std::size_t max_batch_requests = 64;
-  std::int64_t max_delay_us = 50'000;
-  /// Floor for the batching window. The ServiceModel is calibrated per
-  /// lane in isolation, so it understates what degenerate per-request
-  /// batching costs a contended host (dispatch churn, lost cross-request
-  /// dedupe); a small floor keeps the climber out of that corner.
-  std::int64_t min_delay_us = 0;
-  /// Climb steps (each step evaluates every neighbor of the current
-  /// config; cached configs are not re-simulated).
-  std::size_t max_steps = 32;
-};
-
-/// A tuned lane configuration.
-struct LaneTuning {
-  BatcherOptions batcher;
-  std::size_t workers = 1;
-  /// Simulated p99 of the tuned config over the lane's sub-trace.
-  double p99_us = 0;
-  bool meets_sla = false;
-  /// Distinct configs simulated while climbing.
-  std::size_t evaluations = 0;
-};
-
-/// Tunes one lane by steepest-descent hill climbing from
-/// (`seed_batcher`, `seed_workers`). Neighbors halve/double the batch
-/// size and window and step workers by one; the objective is
-/// lexicographic — SLA violation first, then fewer workers, then lower
-/// p99, so the climber spends workers only when the SLA demands them.
-/// Deterministic given its inputs.
-[[nodiscard]] LaneTuning TuneLane(const std::vector<Request>& trace,
-                                  const ServiceModel& service,
-                                  const TuneOptions& options,
-                                  BatcherOptions seed_batcher,
-                                  std::size_t seed_workers = 1);
-
-/// A full-fleet tuning: one LaneTuning per zoo model.
-struct FleetTuning {
-  std::vector<LaneTuning> lanes;
-
-  /// The per-model overrides for RunPolicy::batcher_overrides.
-  [[nodiscard]] std::map<std::size_t, BatcherOptions> batcher_overrides()
-      const;
-  /// The per-model worker counts for FleetSpec::workers.
-  [[nodiscard]] std::vector<std::size_t> workers() const;
-};
-
-/// Tunes every lane of `fleet` against its sub-trace of `trace`
-/// (SubTraceForModel), seeding each climb from the fleet's own batcher
-/// defaults and worker counts.
-[[nodiscard]] FleetTuning TuneFleet(const std::vector<Request>& trace,
-                                    const FleetSpec& fleet,
-                                    const ServiceModel& service,
-                                    const TuneOptions& options);
 
 /// `trace` with arrivals compressed by `load_factor` (> 1 = hotter:
 /// the same requests offered proportionally faster). Rows, routing, and

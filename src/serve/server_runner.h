@@ -58,8 +58,8 @@ struct RunPolicy {
   /// Fleet-wide batcher override: when set, every model batches with
   /// these options instead of its ModelSpec::batcher defaults.
   std::optional<BatcherOptions> batcher;
-  /// Per-model overrides keyed by model id — what the tail-latency
-  /// scheduler emits. Wins over both the fleet-wide override and the
+  /// Per-model overrides keyed by model id — what per-lane tuning
+  /// picks. Wins over both the fleet-wide override and the
   /// ModelSpec defaults.
   std::map<std::size_t, BatcherOptions> batcher_overrides;
 
@@ -147,8 +147,8 @@ class ServerRunner {
   ServerRunner(TraceSpec trace, FleetSpec fleet);
 
   /// Serves an explicit trace instead of generating one — sub-trace
-  /// runs (multi-model determinism tests) and offline scheduler
-  /// replays. `spec.dataset` must still describe the trace's feature
+  /// runs (multi-model determinism tests) and load-scaled replays
+  /// (ScaleTrace). `spec.dataset` must still describe the trace's feature
   /// schema; `spec.query` is kept for offered-QPS accounting only.
   ServerRunner(TraceSpec spec, FleetSpec fleet, std::vector<Request> trace);
 

@@ -815,36 +815,44 @@ TEST(EmbstoreServeDeterminismTest, TieredReplicasScoreBitwiseIdentically) {
   trace_spec.query.qps = 50'000;
 
   // Tiering is a ModelSpec concern: same trace, same architecture, one
-  // zoo member dense and one serving from the tiered store.
+  // zoo member dense and one serving from the tiered store. Hot
+  // capacity 0 sends every fetch to the cold segments.
   serve::ModelSpec dense_model;
   dense_model.config = model;
   serve::ServerRunner dense_runner(
       trace_spec, serve::FleetSpec::Single(dense_model, /*num_workers=*/2));
-  serve::ModelSpec tiered_spec;
-  tiered_spec.config = model;
-  tiered_spec.config.tiering = Tier(64, 64);
-  serve::ServerRunner tiered_runner(
-      trace_spec, serve::FleetSpec::Single(tiered_spec, /*num_workers=*/2));
 
-  for (const bool recd : {false, true}) {
-    const serve::RunPolicy policy =
-        recd ? serve::RunPolicy::Recd() : serve::RunPolicy::Baseline();
-    const auto dense = dense_runner.Run(policy);
-    const auto tiered = tiered_runner.Run(policy);
-    ASSERT_EQ(dense.requests.size(), tiered.requests.size());
-    for (std::size_t i = 0; i < dense.requests.size(); ++i) {
-      ASSERT_EQ(dense.requests[i].request_id,
-                tiered.requests[i].request_id);
-      ASSERT_EQ(dense.requests[i].scores.size(),
-                tiered.requests[i].scores.size());
-      for (std::size_t k = 0; k < dense.requests[i].scores.size(); ++k) {
-        EXPECT_EQ(dense.requests[i].scores[k],
-                  tiered.requests[i].scores[k])
-            << "recd=" << recd << " request " << i << " candidate " << k;
+  for (const std::size_t hot_capacity : {64u, 0u}) {
+    serve::ModelSpec tiered_spec;
+    tiered_spec.config = model;
+    tiered_spec.config.tiering = Tier(hot_capacity, 64);
+    serve::ServerRunner tiered_runner(
+        trace_spec, serve::FleetSpec::Single(tiered_spec, /*num_workers=*/2));
+
+    for (const bool recd : {false, true}) {
+      const serve::RunPolicy policy =
+          recd ? serve::RunPolicy::Recd() : serve::RunPolicy::Baseline();
+      const auto dense = dense_runner.Run(policy);
+      const auto tiered = tiered_runner.Run(policy);
+      ASSERT_EQ(dense.requests.size(), tiered.requests.size());
+      for (std::size_t i = 0; i < dense.requests.size(); ++i) {
+        ASSERT_EQ(dense.requests[i].request_id,
+                  tiered.requests[i].request_id);
+        ASSERT_EQ(dense.requests[i].scores.size(),
+                  tiered.requests[i].scores.size());
+        for (std::size_t k = 0; k < dense.requests[i].scores.size(); ++k) {
+          EXPECT_EQ(dense.requests[i].scores[k],
+                    tiered.requests[i].scores[k])
+              << "hot=" << hot_capacity << " recd=" << recd << " request "
+              << i << " candidate " << k;
+        }
+      }
+      EXPECT_EQ(dense.stats.tier.row_fetches, 0u);
+      EXPECT_GT(tiered.stats.tier.row_fetches, 0u);
+      if (hot_capacity == 0) {
+        EXPECT_EQ(tiered.stats.tier.hot_hits, 0u) << "recd=" << recd;
       }
     }
-    EXPECT_EQ(dense.stats.tier.row_fetches, 0u);
-    EXPECT_GT(tiered.stats.tier.row_fetches, 0u);
   }
 }
 

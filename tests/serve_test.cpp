@@ -1,8 +1,8 @@
 // Tests for the online serving subsystem (src/serve): deterministic
 // query generation across load shapes, batcher flush/SLA edge cases,
 // baseline-vs-RecD score parity, multi-model determinism across worker
-// counts and zoo compositions, the offline tail-latency scheduler, and
-// clean shutdown under load (ISSUE acceptance criteria).
+// counts and zoo compositions, trace load scaling, and clean shutdown
+// under load.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -351,8 +351,9 @@ TEST(ServerRunnerTest, BaselineAndRecdScoresAreBitwiseIdentical) {
   ASSERT_EQ(base.requests.size(), 48u);
   ExpectSameScores(base, recd);
   // RecD must have deduplicated across candidates/requests and saved
-  // embedding lookups doing it.
-  EXPECT_GT(recd.stats.request_dedupe_factor, 1.0);
+  // embedding lookups doing it. A request's K = 4 candidates share its
+  // user rows, so the factor is at least K.
+  EXPECT_GE(recd.stats.request_dedupe_factor, 4.0);
   EXPECT_DOUBLE_EQ(base.stats.request_dedupe_factor, 1.0);
   EXPECT_LT(recd.stats.embedding_lookups, base.stats.embedding_lookups);
   EXPECT_LT(recd.stats.flops, base.stats.flops);
@@ -601,122 +602,12 @@ TEST(MultiModelServingTest, PerModelBatcherOverridesApply) {
   EXPECT_EQ(r.stats.requests, 48u);
 }
 
-// --------------------------------------------- tail-latency scheduler --
-
-std::vector<Request> SchedulerTrace(std::size_t requests = 96) {
-  auto q = SmallQuery(requests, 3);
-  q.qps = 5'000;
-  return QueryGenerator(MakeTrace(q)).Generate();
-}
-
-TEST(SchedulerTest, SimulatedLaneIsDeterministic) {
-  const auto trace = SchedulerTrace();
-  BatcherOptions b;
-  b.max_batch_requests = 4;
-  b.max_delay_us = 500;
-  const ServiceModel service{.batch_overhead_us = 150, .us_per_row = 40};
-  const auto a = SimulateLane(trace, b, 2, service);
-  const auto c = SimulateLane(trace, b, 2, service);
-  EXPECT_EQ(a.requests, trace.size());
-  EXPECT_EQ(a.batches, c.batches);
-  EXPECT_EQ(a.makespan_us, c.makespan_us);
-  EXPECT_DOUBLE_EQ(a.p99_us(), c.p99_us());
-  const auto ba = a.latency_us.buckets();
-  const auto bc = c.latency_us.buckets();
-  ASSERT_EQ(ba.size(), bc.size());
-  for (std::size_t i = 0; i < ba.size(); ++i) {
-    EXPECT_EQ(ba[i].count, bc[i].count);
-  }
-  // Latency can never undercut the service floor of a lone request.
-  EXPECT_GE(a.latency_us.min(),
-            static_cast<std::int64_t>(service.ServiceUs(0)));
-}
-
-TEST(SchedulerTest, MoreWorkersNeverHurtSimulatedTail) {
-  const auto trace = SchedulerTrace();
-  BatcherOptions b;
-  b.max_batch_requests = 8;
-  b.max_delay_us = 200;
-  const ServiceModel service{.batch_overhead_us = 300, .us_per_row = 120};
-  const auto one = SimulateLane(trace, b, 1, service);
-  const auto four = SimulateLane(trace, b, 4, service);
-  EXPECT_LE(four.p99_us(), one.p99_us());
-  EXPECT_LE(four.makespan_us, one.makespan_us);
-}
-
-TEST(SchedulerTest, TuningIsDeterministicAndImprovesTheObjective) {
-  const auto trace = SchedulerTrace();
-  // Deliberately slow service so the seed config (1 worker, wide
-  // window) violates the SLA and the climber has real work to do.
-  const ServiceModel service{.batch_overhead_us = 400, .us_per_row = 150};
-  TuneOptions opts;
-  opts.sla_p99_us = 15'000;
-  opts.max_workers = 6;
-  BatcherOptions seed;
-  seed.max_batch_requests = 32;
-  seed.max_delay_us = 10'000;
-  const auto a = TuneLane(trace, service, opts, seed, 1);
-  const auto b = TuneLane(trace, service, opts, seed, 1);
-  EXPECT_EQ(a.batcher.max_batch_requests, b.batcher.max_batch_requests);
-  EXPECT_EQ(a.batcher.max_delay_us, b.batcher.max_delay_us);
-  EXPECT_EQ(a.workers, b.workers);
-  EXPECT_DOUBLE_EQ(a.p99_us, b.p99_us);
-  EXPECT_EQ(a.evaluations, b.evaluations);
-  const double seed_p99 = SimulateLane(trace, seed, 1, service).p99_us();
-  EXPECT_LT(a.p99_us, seed_p99);
-  EXPECT_TRUE(a.meets_sla);
-  EXPECT_LE(a.p99_us, opts.sla_p99_us);
-  EXPECT_GT(a.evaluations, 1u);
-}
-
-TEST(SchedulerTest, WindowFloorBoundsTheClimb) {
-  const auto trace = SchedulerTrace();
-  // Fast service + tight SLA: unbounded, the climber collapses the
-  // window toward zero; the floor must hold it up instead.
-  const ServiceModel service{.batch_overhead_us = 50, .us_per_row = 5};
-  TuneOptions opts;
-  opts.sla_p99_us = 2'000;
-  opts.min_delay_us = 750;
-  BatcherOptions seed;
-  seed.max_batch_requests = 16;
-  seed.max_delay_us = 12'000;
-  const auto tuned = TuneLane(trace, service, opts, seed, 1);
-  EXPECT_GE(tuned.batcher.max_delay_us, 750);
-  TuneOptions bad = opts;
-  bad.min_delay_us = bad.max_delay_us + 1;
-  EXPECT_THROW((void)TuneLane(trace, service, bad, seed, 1),
-               std::invalid_argument);
-}
-
-TEST(SchedulerTest, TuneFleetEmitsPluggableOverrides) {
-  auto q = SmallQuery(90, 2);
-  q.num_models = 3;
-  const auto trace_spec = MakeTrace(q);
-  const auto trace = QueryGenerator(trace_spec).Generate();
-  FleetSpec fleet;
-  fleet.models = SmallZoo(trace_spec.dataset, 3);
-  const ServiceModel service{.batch_overhead_us = 200, .us_per_row = 50};
-  TuneOptions opts;
-  opts.sla_p99_us = 10'000;
-  const auto tuning = TuneFleet(trace, fleet, service, opts);
-  ASSERT_EQ(tuning.lanes.size(), 3u);
-  const auto overrides = tuning.batcher_overrides();
-  const auto workers = tuning.workers();
-  EXPECT_EQ(overrides.size(), 3u);
-  ASSERT_EQ(workers.size(), 3u);
-  for (const auto w : workers) EXPECT_GE(w, 1u);
-  // The outputs plug directly back into the serving spec.
-  FleetSpec tuned = fleet;
-  tuned.workers = workers;
-  RunPolicy policy = RunPolicy::Recd();
-  policy.batcher_overrides = overrides;
-  ServerRunner runner(trace_spec, tuned, trace);
-  const auto result = runner.Run(policy);
-  EXPECT_EQ(result.stats.requests, 90u);
-}
+// ------------------------------------------------------ trace scaling --
 
 TEST(SchedulerTest, ScaleTraceCompressesArrivalsOnly) {
-  const auto trace = SchedulerTrace(32);
+  auto q = SmallQuery(32, 3);
+  q.qps = 5'000;
+  const auto trace = QueryGenerator(MakeTrace(q)).Generate();
   const auto hot = ScaleTrace(trace, 2.0);
   ASSERT_EQ(hot.size(), trace.size());
   for (std::size_t i = 0; i < trace.size(); ++i) {

@@ -10,8 +10,8 @@
 // configuration, sweeping the hot capacity from 0 (everything cold)
 // through a fraction of the trace's working set up to unbounded, on
 // both lookup paths:
-//   base  — PooledForward over the expanded per-slot batch,
-//   recd  — FusedPooledForward over unique rows + inverse, whose
+//   base  — nn::SumPool over the expanded per-slot batch,
+//   recd  — nn::SumPool over unique rows + inverse, whose
 //           multiplicities double as hot-tier admission weights.
 // Each configuration runs a warmup pass (populates the hot tier), then
 // a measured pass of forward + sparse SGD, and is compared bitwise —
@@ -135,8 +135,8 @@ RunResult RunConfig(const Trace& trace, std::size_t hash_size,
   }
 
   auto forward = [&](std::size_t b) {
-    return recd ? table.FusedPooledForward(trace.unique[b], trace.inverse[b])
-                : table.PooledForward(trace.expanded[b], nn::PoolingKind::kSum);
+    return recd ? nn::SumPool({&table}, {&trace.unique[b]}, trace.inverse[b])
+                : nn::SumPool({&table}, {&trace.expanded[b]});
   };
 
   for (std::size_t b = 0; b < trace.expanded.size(); ++b) (void)forward(b);
@@ -153,8 +153,7 @@ RunResult RunConfig(const Trace& trace, std::size_t hash_size,
     // Sparse SGD on the jt the forward consumed (unique rows on the
     // RecD path), driving the update + dirty-eviction writeback path.
     const auto& jt = recd ? trace.unique[b] : trace.expanded[b];
-    table.ApplyPooledGradient(jt, FakeGrad(jt.num_rows(), dim, b),
-                              nn::PoolingKind::kSum, 0.05f);
+    table.ApplyPooledGradient(jt, FakeGrad(jt.num_rows(), dim, b), 0.05f);
   }
   r.tier = table.tier_stats();
   r.fwd_ms_per_batch = sw.seconds() * 1e3 /

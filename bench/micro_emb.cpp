@@ -45,8 +45,7 @@ void BM_SumPoolKjt(benchmark::State& state) {
   common::Rng rng(1);
   nn::EmbeddingTable table(100'000, 64, rng);
   for (auto _ : state) {
-    auto out = table.PooledForward(batch.kjt.Get("f"),
-                                   nn::PoolingKind::kSum);
+    auto out = nn::SumPool({&table}, {&batch.kjt.Get("f")});
     benchmark::DoNotOptimize(out);
   }
 }
@@ -57,8 +56,7 @@ void BM_SumPoolIkjtThenExpand(benchmark::State& state) {
   common::Rng rng(1);
   nn::EmbeddingTable table(100'000, 64, rng);
   for (auto _ : state) {
-    auto pooled = table.PooledForward(batch.ikjt.Unique("f"),
-                                      nn::PoolingKind::kSum);
+    auto pooled = nn::SumPool({&table}, {&batch.ikjt.Unique("f")});
     auto out = train::ExpandRows(pooled, batch.ikjt.inverse_lookup());
     benchmark::DoNotOptimize(out);
   }

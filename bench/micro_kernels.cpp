@@ -1,8 +1,10 @@
 // Micro-benchmarks for the fused/vectorized kernel layer
-// (docs/ARCHITECTURE.md §12): scalar oracle vs AVX2 backend on the hot
-// kernels — fused dedup-aware pooled lookup, the sparse SGD scatter,
-// the MLP GEMMs (square and at the trainer's RM1 chunk shapes), and the
-// pairwise feature interaction.
+// (docs/ARCHITECTURE.md §12): scalar oracle vs AVX2 backend on every
+// kernel that keeps an AVX2 body — sum pooling (grouped and fused
+// dedup-aware), the sparse SGD scatter, the MLP GEMMs (square and at
+// the trainer's RM1 chunk shapes), the pairwise feature interaction,
+// and the bias and ReLU epilogues at the top-MLP shapes.
+// scripts/validate_bench_json.py requires a *_speedup row per kernel.
 //
 // Every timed pair is also checked bitwise (the layer's contract): the
 // bench aborts nonzero if any vectorized output differs from scalar by
@@ -249,27 +251,35 @@ int main(int argc, char** argv) {
     RequireBitwise(out_scalar, out_vec, "fused lookup (simd only)");
     rows.push_back(r2);
 
+    // Grouped sum pooling at the expanded rows (the training path's
+    // PoolUnit), SIMD only.
+    rows.push_back(TimedPair(
+        "sum_pool_group", "elem", r.work, trials, reps,
+        [&](KernelBackend be) -> const std::vector<float>& {
+          auto& out = be == kS ? out_scalar : out_vec;
+          kernels::SumPoolGroup(be, egroup, dim, out.data());
+          return out;
+        }));
+
     // Sparse SGD scatter over the expanded batch (identical work both
     // backends; dim-axis SIMD only).
     const auto grad = RandVec(batch * dim, rng);
     auto w_scalar = weights;
     auto w_vec = weights;
-    kernels::ScatterSgdUpdate(kS, ejt0, grad.data(), kernels::Pool::kSum,
-                              0.01f, w_scalar.data(), hash_size, dim);
-    kernels::ScatterSgdUpdate(kV, ejt0, grad.data(), kernels::Pool::kSum,
-                              0.01f, w_vec.data(), hash_size, dim);
+    kernels::ScatterSgdUpdate(kS, ejt0, grad.data(), 0.01f,
+                              w_scalar.data(), hash_size, dim);
+    kernels::ScatterSgdUpdate(kV, ejt0, grad.data(), 0.01f, w_vec.data(),
+                              hash_size, dim);
     RequireBitwise(w_scalar, w_vec, "scatter sgd update");
     Row r3{"scatter_sgd_update"};
     r3.work = static_cast<double>(ejt0.total_values()) * dim;
     r3.bytes = r3.work * 3 * sizeof(float);  // read w + grad, write w
     r3.scalar_s = SecondsPerPass(trials, reps, [&] {
-      kernels::ScatterSgdUpdate(kS, ejt0, grad.data(),
-                                kernels::Pool::kSum, 0.01f,
+      kernels::ScatterSgdUpdate(kS, ejt0, grad.data(), 0.01f,
                                 w_scalar.data(), hash_size, dim);
     });
     r3.vec_s = SecondsPerPass(trials, reps, [&] {
-      kernels::ScatterSgdUpdate(kV, ejt0, grad.data(),
-                                kernels::Pool::kSum, 0.01f, w_vec.data(),
+      kernels::ScatterSgdUpdate(kV, ejt0, grad.data(), 0.01f, w_vec.data(),
                                 hash_size, dim);
     });
     rows.push_back(r3);
@@ -321,6 +331,53 @@ int main(int argc, char** argv) {
           kernels::InteractionBackward(be, grad_out.data(), xp, m, d,
                                        be == kS ? gsp : gvp);
           return be == kS ? gs : gv;
+        }));
+  }
+
+  // ---- Elementwise epilogues at the top-MLP shapes (64 rows) ---------
+  // The scalar ReLU branch does not auto-vectorize; AddRowBias is the
+  // Linear::Forward bias add. ReluInPlace restores its input from the
+  // pre-activation each pass (a memcpy on both sides) so every pass
+  // zeroes the same half of the values. Passes are microseconds long,
+  // so each trial times more of them.
+  const int ew_reps = bench::SmokeOr(200, 1);
+  for (const std::size_t cols : {256, 1024, 2048}) {
+    const std::size_t m = 64;
+    const std::size_t n = m * cols;
+    const std::string tag = "_64x" + std::to_string(cols);
+    const auto pre = RandVec(n, rng);
+    const auto bias = RandVec(cols, rng);
+    std::vector<float> vs(n), vv(n);
+    rows.push_back(TimedPair(
+        "relu_inplace" + tag, "elem", static_cast<double>(n), trials,
+        ew_reps,
+        [&](KernelBackend be) -> const std::vector<float>& {
+          auto& v = be == kS ? vs : vv;
+          std::memcpy(v.data(), pre.data(), n * sizeof(float));
+          kernels::ReluInPlace(be, v.data(), n);
+          return v;
+        }));
+    const auto g = RandVec(n, rng);
+    auto gs = g;
+    auto gv = g;
+    rows.push_back(TimedPair(
+        "relu_mask" + tag, "elem", static_cast<double>(n), trials,
+        ew_reps,
+        [&](KernelBackend be) -> const std::vector<float>& {
+          auto& out = be == kS ? gs : gv;
+          kernels::ReluMask(be, out.data(), pre.data(), n);
+          return out;
+        }));
+    // Accumulates across timed passes; the first calls are compared.
+    auto ys = pre;
+    auto yv = pre;
+    rows.push_back(TimedPair(
+        "add_row_bias" + tag, "elem", static_cast<double>(n), trials,
+        ew_reps,
+        [&](KernelBackend be) -> const std::vector<float>& {
+          auto& y = be == kS ? ys : yv;
+          kernels::AddRowBias(be, y.data(), m, cols, bias.data());
+          return y;
         }));
   }
 

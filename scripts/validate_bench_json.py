@@ -13,7 +13,9 @@ objects and a matching "series_count" — and for the reports listed in
 OBS_REQUIRED the block is mandatory. BENCH_serve_scale.json additionally
 must carry a complete latency-QPS frontier (every config x load cell
 with ordered percentiles) and at least three tuned-lane key groups per
-serving policy.
+serving policy. BENCH_micro_kernels.json must carry a *_speedup row for
+every kernel that keeps an AVX2 body in src/kernels/kernels_simd.cpp
+(the evidence for keeping it).
 Stale or hand-edited files fail CI here instead of silently shipping
 unreproducible numbers.
 
@@ -25,6 +27,7 @@ import glob
 import json
 import numbers
 import os
+import re
 import sys
 
 HOST_FIELDS = {
@@ -72,6 +75,57 @@ FRONTIER_KEYS = ("offered_qps", "achieved_qps", "latency_p50_us",
 TUNED_POLICIES = ("base", "recd")
 TUNED_LANE_KEYS = ("max_batch_requests", "max_delay_us", "workers",
                    "p99_us")
+
+# Every kernel with an AVX2 body must be priced against the scalar oracle
+# in BENCH_micro_kernels.json: kernel name -> the bench row prefix whose
+# <prefix>*_speedup metric is its evidence (bench/micro_kernels.cpp).
+# A kernel found in kernels_simd.cpp but missing here fails the lint too,
+# so a new AVX2 body cannot ship unpriced.
+SIMD_SOURCE = os.path.join("src", "kernels", "kernels_simd.cpp")
+SIMD_KERNEL_ROWS = {
+    "SumPoolGroup": "sum_pool_group",
+    "FusedPooledLookup": "fused_lookup_simd_only",
+    "ScatterSgdUpdate": "scatter_sgd_update",
+    "MatmulABt": "matmul_abt_fwd",
+    "MatmulAB": "matmul_ab_bwd_dx",
+    "AccumulateOuter": "accumulate_outer_dw",
+    "InteractionForward": "interaction_fwd",
+    "InteractionBackward": "interaction_bwd",
+    "AddRowBias": "add_row_bias",
+    "ReluInPlace": "relu_inplace",
+    "ReluMask": "relu_mask",
+}
+
+
+def simd_kernels(root):
+    """Public AVX2 kernels defined in kernels_simd.cpp (None if absent)."""
+    try:
+        with open(os.path.join(root, SIMD_SOURCE), encoding="utf-8") as f:
+            source = f.read()
+    except OSError:
+        return None
+    return re.findall(r"^RECD_AVX2 void (\w+)\(", source, re.MULTILINE)
+
+
+def check_micro_kernels(metrics, root):
+    """Requires a *_speedup row per AVX2 kernel; returns error strings."""
+    kernels = simd_kernels(root)
+    if kernels is None:
+        return [f"cannot read {SIMD_SOURCE} to list the AVX2 kernels"]
+    errors = []
+    for kernel in kernels:
+        prefix = SIMD_KERNEL_ROWS.get(kernel)
+        if prefix is None:
+            errors.append(
+                f"AVX2 kernel {kernel} has no bench row in SIMD_KERNEL_ROWS")
+            continue
+        if not any(
+            name.startswith(prefix) and name.endswith("_speedup")
+            for name in metrics
+        ):
+            errors.append(
+                f"AVX2 kernel {kernel} lacks a {prefix}*_speedup row")
+    return errors
 
 
 def check_serve_scale(metrics):
@@ -223,6 +277,11 @@ def check_file(path):
         metrics, dict
     ):
         errors.extend(check_serve_scale(metrics))
+    if os.path.basename(path) == "BENCH_micro_kernels.json" and isinstance(
+        metrics, dict
+    ):
+        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        errors.extend(check_micro_kernels(metrics, root))
     return errors, len(metrics) if isinstance(metrics, dict) else 0
 
 

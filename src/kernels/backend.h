@@ -1,12 +1,15 @@
 // Kernel backend selection for the vectorized kernel layer
 // (docs/ARCHITECTURE.md §12).
 //
-// Every hot-path kernel (pooled embedding lookup, the MLP GEMMs, the
-// pairwise interaction, dense transforms) exists twice: a scalar
-// reference implementation — the bitwise oracle — and a SIMD
-// implementation that vectorizes only non-reduction axes, so the two
-// produce bit-identical floats. BCE and the dense SGD update have only
-// the scalar loop, run under either backend. kVectorized is therefore safe to use as the process default:
+// Every kernel that measured >= 1.2x vectorized (sum pooling and the
+// SGD scatter, the MLP GEMMs, the pairwise interaction, the bias and
+// ReLU epilogues) exists twice: a scalar reference implementation — the
+// bitwise oracle — and a SIMD implementation that vectorizes only
+// non-reduction axes, so the two produce bit-identical floats. The rest
+// have only the scalar loop and take no backend: BCE and the dense SGD
+// update (0.98-1.10x), AddInPlace (0.93-1.04x), DenseClamp
+// (0.86-0.97x) and DenseNormalize (1.17-1.19x); kernels.h lists each
+// ratio. kVectorized is therefore safe to use as the process default:
 // it changes wall-clock, never results. Hosts without AVX2 silently run
 // the scalar path under either selector.
 #pragma once

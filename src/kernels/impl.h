@@ -2,7 +2,8 @@
 // reference implementations (kernels.cpp — the bitwise oracle), `simd`
 // the AVX2 implementations (kernels_simd.cpp). The public dispatchers in
 // kernels.cpp pick one per call; nothing outside src/kernels/ includes
-// this header.
+// this header. The scalar-only kernels (kernels.h: BCE, SgdUpdate,
+// AddInPlace, DenseNormalize, DenseClamp) live in kernels.cpp alone.
 #pragma once
 
 #include <cstddef>
@@ -14,17 +15,14 @@
 
 namespace recd::kernels::detail {
 
-void PooledLookup(const tensor::JaggedTensor& batch, const float* weights,
-                  std::size_t hash_size, std::size_t dim, Pool pool,
-                  float* out);
 void SumPoolGroup(std::span<const GroupFeature> group, std::size_t dim,
                   float* out);
 void FusedPooledLookup(std::span<const GroupFeature> group,
                        std::span<const std::int64_t> inverse,
                        std::size_t dim, float* out);
 void ScatterSgdUpdate(const tensor::JaggedTensor& batch, const float* grad,
-                      Pool pool, float lr, float* weights,
-                      std::size_t hash_size, std::size_t dim);
+                      float lr, float* weights, std::size_t hash_size,
+                      std::size_t dim);
 void MatmulABt(const float* a, std::size_t m, std::size_t k, const float* b,
                std::size_t n, float* c);
 void MatmulAB(const float* a, std::size_t m, std::size_t k, const float* b,
@@ -38,13 +36,10 @@ void InteractionBackward(const float* grad_out,
                          std::span<const float* const> inputs,
                          std::size_t rows, std::size_t d,
                          std::span<float* const> grads);
-void AddInPlace(float* dst, const float* src, std::size_t n);
 void AddRowBias(float* y, std::size_t rows, std::size_t cols,
                 const float* bias);
 void ReluInPlace(float* v, std::size_t n);
 void ReluMask(float* g, const float* pre, std::size_t n);
-void DenseNormalize(float* x, std::size_t n, float mean, float inv_scale);
-void DenseClamp(float* x, std::size_t n, float lo, float hi);
 
 /// Slot buckets of an inverse lookup: slots[offsets[u] .. offsets[u+1])
 /// lists the batch slots mapping to unique row u, in ascending slot
@@ -63,17 +58,14 @@ namespace recd::kernels::simd {
 // Same contracts as the detail:: functions; bitwise-identical results.
 // On platforms without AVX2 these are thin wrappers over detail:: (the
 // dispatcher never selects them there, but they must link).
-void PooledLookup(const tensor::JaggedTensor& batch, const float* weights,
-                  std::size_t hash_size, std::size_t dim, Pool pool,
-                  float* out);
 void SumPoolGroup(std::span<const GroupFeature> group, std::size_t dim,
                   float* out);
 void FusedPooledLookup(std::span<const GroupFeature> group,
                        std::span<const std::int64_t> inverse,
                        std::size_t dim, float* out);
 void ScatterSgdUpdate(const tensor::JaggedTensor& batch, const float* grad,
-                      Pool pool, float lr, float* weights,
-                      std::size_t hash_size, std::size_t dim);
+                      float lr, float* weights, std::size_t hash_size,
+                      std::size_t dim);
 void MatmulABt(const float* a, std::size_t m, std::size_t k, const float* b,
                std::size_t n, float* c);
 void MatmulAB(const float* a, std::size_t m, std::size_t k, const float* b,
@@ -87,12 +79,9 @@ void InteractionBackward(const float* grad_out,
                          std::span<const float* const> inputs,
                          std::size_t rows, std::size_t d,
                          std::span<float* const> grads);
-void AddInPlace(float* dst, const float* src, std::size_t n);
 void AddRowBias(float* y, std::size_t rows, std::size_t cols,
                 const float* bias);
 void ReluInPlace(float* v, std::size_t n);
 void ReluMask(float* g, const float* pre, std::size_t n);
-void DenseNormalize(float* x, std::size_t n, float mean, float inv_scale);
-void DenseClamp(float* x, std::size_t n, float lo, float hi);
 
 }  // namespace recd::kernels::simd

@@ -16,8 +16,12 @@
 // -ffp-contract=off so no path can fuse a*b+c into an FMA the other
 // path did not.
 //
-// BceLossSum, BceGrad and SgdUpdate have only a scalar loop and take no
-// backend: their AVX2 versions measured no faster.
+// Kernels whose AVX2 version measured below 1.2x over the scalar loop
+// keep only the scalar loop and take no backend (4-core Xeon, Release):
+// BceLossSum, BceGrad and SgdUpdate (1.10x, 0.98x, 1.04x), AddInPlace
+// (0.93-1.04x from 8K to 2M floats), DenseClamp (0.86-0.97x) and
+// DenseNormalize (1.17-1.19x at the reader's 4,096 floats, ~0.05 us a
+// batch).
 //
 // Callers (nn::EmbeddingTable, nn::Linear, nn::FeatureInteraction,
 // loss, transforms) own all shape validation and OpStats accounting;
@@ -33,8 +37,6 @@
 
 namespace recd::kernels {
 
-enum class Pool : std::uint8_t { kSum, kMean, kMax };
-
 /// Table row for id under the modulo hash-trick shared by every caller.
 [[nodiscard]] inline std::size_t TableRow(tensor::Id id,
                                           std::size_t hash_size) {
@@ -43,15 +45,8 @@ enum class Pool : std::uint8_t { kSum, kMean, kMax };
 }
 
 // ---------------------------------------------------------------------------
-// Pooled embedding lookup
+// Sum-pooled embedding lookup (nn::SumPool)
 // ---------------------------------------------------------------------------
-
-/// out(r, :) = pool(weights rows of batch row r); out is
-/// batch.num_rows() x dim and is zero-filled first (empty rows pool to
-/// zero). Ids accumulate in row order; lanes run across dim.
-void PooledLookup(KernelBackend backend, const tensor::JaggedTensor& batch,
-                  const float* weights, std::size_t hash_size,
-                  std::size_t dim, Pool pool, float* out);
 
 /// One feature of a synchronized group: a (possibly deduplicated) jagged
 /// tensor plus the embedding table it looks up into. All features of a
@@ -62,10 +57,11 @@ struct GroupFeature {
   std::size_t hash_size = 0;
 };
 
-/// Concatenated-group sum pooling at batch rows:
+/// Concatenated-group sum pooling at the jagged rows:
 /// out(r, :) = sum over features k, then ids of jt_k row r, of the
-/// looked-up embedding — the float-op sequence of
-/// train::SumPoolConcatGroup. out is rows x dim, zero-filled first.
+/// looked-up embedding (a single feature is a group of one). out is
+/// rows x dim, zero-filled first, so empty rows pool to zero. Ids
+/// accumulate in row order; lanes run across dim.
 void SumPoolGroup(KernelBackend backend,
                   std::span<const GroupFeature> group, std::size_t dim,
                   float* out);
@@ -83,15 +79,14 @@ void FusedPooledLookup(KernelBackend backend,
                        std::span<const std::int64_t> inverse,
                        std::size_t dim, float* out);
 
-/// Sparse SGD scatter-update for sum/mean pooling: for each batch row r
-/// (in order) and each id of the row (in order),
-/// weights[row(id)] -= scale_r * grad(r, :), scale_r = lr or lr/len for
-/// mean pooling — the float-op sequence of
-/// EmbeddingTable::ApplyPooledGradient. `pool` must be kSum or kMean.
+/// Sparse SGD scatter-update for sum pooling: for each batch row r (in
+/// order) and each id of the row (in order),
+/// weights[row(id)] -= lr * grad(r, :) — the float-op sequence of
+/// EmbeddingTable::ApplyPooledGradient.
 void ScatterSgdUpdate(KernelBackend backend,
                       const tensor::JaggedTensor& batch, const float* grad,
-                      Pool pool, float lr, float* weights,
-                      std::size_t hash_size, std::size_t dim);
+                      float lr, float* weights, std::size_t hash_size,
+                      std::size_t dim);
 
 /// out(i, :) = src(index[i], :) — the RecD post-pooling expansion and
 /// checkpoint gather. Pure row copies (no float arithmetic), so both
@@ -176,8 +171,7 @@ void BceGrad(const float* logits, const float* labels, std::size_t n,
 void SgdUpdate(float* w, const float* g, std::size_t n, float lr);
 
 /// dst[i] += src[i] — gradient accumulation / the chunk combine.
-void AddInPlace(KernelBackend backend, float* dst, const float* src,
-                std::size_t n);
+void AddInPlace(float* dst, const float* src, std::size_t n);
 
 /// y(r, :) += bias — the Linear::Forward bias epilogue.
 void AddRowBias(KernelBackend backend, float* y, std::size_t rows,
@@ -192,12 +186,10 @@ void ReluMask(KernelBackend backend, float* g, const float* pre,
               std::size_t n);
 
 /// x = (x - mean) * inv_scale — reader kDenseNormalize.
-void DenseNormalize(KernelBackend backend, float* x, std::size_t n,
-                    float mean, float inv_scale);
+void DenseNormalize(float* x, std::size_t n, float mean, float inv_scale);
 
 /// x = clamp(x, lo, hi) with std::clamp's exact comparison order
-/// (x < lo ? lo : hi < x ? hi : x).
-void DenseClamp(KernelBackend backend, float* x, std::size_t n, float lo,
-                float hi);
+/// (x < lo ? lo : hi < x ? hi : x): NaN and -0 pass through.
+void DenseClamp(float* x, std::size_t n, float lo, float hi);
 
 }  // namespace recd::kernels

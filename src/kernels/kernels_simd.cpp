@@ -3,8 +3,8 @@
 // Bitwise contract with the scalar oracle (kernels.cpp): SIMD lanes run
 // only across non-reduction axes, so every output element sees exactly
 // the scalar path's float-op sequence —
-//   * pooling / SGD scatter / elementwise ops: 8 dim-columns per lane
-//     set, ids and rows still visited in scalar order;
+//   * sum pooling / SGD scatter / bias and ReLU epilogues: 8 columns
+//     per lane set, ids and rows still visited in scalar order;
 //   * MatmulABt: 16-column panels of b packed k-major, then a register
 //     tile of 4 a-rows x 2 lane sets — 8 independent accumulators, each
 //     lane the scalar `acc += a*b` chain in ascending k from +0;
@@ -18,9 +18,8 @@
 //     dot tile, each lane one ascending-d chain; the backward: 8
 //     d-columns per lane set, pairs in output order with the gd == 0
 //     skip;
-//   * comparisons (max pooling, ReLU, clamp) use cmp+blend/andnot
-//     sequences chosen to reproduce the scalar branch bit-for-bit,
-//     including -0.0 and NaN behavior (documented per helper).
+//   * the ReLU comparisons use cmp+andnot sequences chosen to reproduce
+//     the scalar branch bit-for-bit, including -0.0 and NaN behavior.
 // Separate mul/add intrinsics (never FMA) pair with the tree-wide
 // -ffp-contract=off so neither path contracts where the other does not.
 //
@@ -64,32 +63,6 @@ RECD_AVX2 inline void AddRows(float* dst, const float* src,
                                    _mm256_loadu_ps(src + c)));
   }
   for (; c < d; ++c) dst[c] += src[c];
-}
-
-// dst[0..d) = max(dst, src) with std::max(a,b) = (a<b)?b:a semantics:
-// blendv picks src only where dst < src (ordered, quiet), so NaN in
-// either operand and ±0 ties resolve exactly like the scalar branch.
-RECD_AVX2 inline void MaxRows(float* dst, const float* src,
-                              std::size_t d) {
-  std::size_t c = 0;
-  for (; c + kLanes <= d; c += kLanes) {
-    const __m256 a = _mm256_loadu_ps(dst + c);
-    const __m256 b = _mm256_loadu_ps(src + c);
-    const __m256 lt = _mm256_cmp_ps(a, b, _CMP_LT_OQ);
-    _mm256_storeu_ps(dst + c, _mm256_blendv_ps(a, b, lt));
-  }
-  for (; c < d; ++c) dst[c] = std::max(dst[c], src[c]);
-}
-
-// dst[0..d) *= s
-RECD_AVX2 inline void ScaleRow(float* dst, float s, std::size_t d) {
-  const __m256 sv = _mm256_set1_ps(s);
-  std::size_t c = 0;
-  for (; c + kLanes <= d; c += kLanes) {
-    _mm256_storeu_ps(dst + c,
-                     _mm256_mul_ps(_mm256_loadu_ps(dst + c), sv));
-  }
-  for (; c < d; ++c) dst[c] *= s;
 }
 
 // dst[0..d) -= s * src[0..d)  (mul then sub, like the scalar update)
@@ -242,38 +215,6 @@ RECD_AVX2 inline void PairDots(const float* t, std::size_t stride,
 
 }  // namespace
 
-RECD_AVX2 void PooledLookup(const tensor::JaggedTensor& batch,
-                            const float* weights, std::size_t hash_size,
-                            std::size_t dim, Pool pool, float* out) {
-  const std::size_t rows = batch.num_rows();
-  std::memset(out, 0, rows * dim * sizeof(float));
-  for (std::size_t r = 0; r < rows; ++r) {
-    const auto ids = batch.row(r);
-    if (ids.empty()) continue;
-    float* orow = out + r * dim;
-    switch (pool) {
-      case Pool::kSum:
-      case Pool::kMean: {
-        for (const auto id : ids) {
-          AddRows(orow, weights + TableRow(id, hash_size) * dim, dim);
-        }
-        if (pool == Pool::kMean) {
-          ScaleRow(orow, 1.0f / static_cast<float>(ids.size()), dim);
-        }
-        break;
-      }
-      case Pool::kMax: {
-        std::memcpy(orow, weights + TableRow(ids[0], hash_size) * dim,
-                    dim * sizeof(float));
-        for (std::size_t i = 1; i < ids.size(); ++i) {
-          MaxRows(orow, weights + TableRow(ids[i], hash_size) * dim, dim);
-        }
-        break;
-      }
-    }
-  }
-}
-
 RECD_AVX2 void SumPoolGroup(std::span<const GroupFeature> group,
                             std::size_t dim, float* out) {
   const std::size_t rows = group.front().jt->num_rows();
@@ -312,19 +253,13 @@ RECD_AVX2 void FusedPooledLookup(std::span<const GroupFeature> group,
 }
 
 RECD_AVX2 void ScatterSgdUpdate(const tensor::JaggedTensor& batch,
-                                const float* grad, Pool pool, float lr,
-                                float* weights, std::size_t hash_size,
-                                std::size_t dim) {
+                                const float* grad, float lr, float* weights,
+                                std::size_t hash_size, std::size_t dim) {
   const std::size_t rows = batch.num_rows();
   for (std::size_t r = 0; r < rows; ++r) {
-    const auto ids = batch.row(r);
-    if (ids.empty()) continue;
     const float* g = grad + r * dim;
-    const float scale = pool == Pool::kMean
-                            ? lr / static_cast<float>(ids.size())
-                            : lr;
-    for (const auto id : ids) {
-      SubScaledRow(weights + TableRow(id, hash_size) * dim, g, scale, dim);
+    for (const auto id : batch.row(r)) {
+      SubScaledRow(weights + TableRow(id, hash_size) * dim, g, lr, dim);
     }
   }
 }
@@ -443,10 +378,6 @@ RECD_AVX2 void InteractionBackward(const float* grad_out,
   }
 }
 
-RECD_AVX2 void AddInPlace(float* dst, const float* src, std::size_t n) {
-  AddRows(dst, src, n);
-}
-
 RECD_AVX2 void AddRowBias(float* y, std::size_t rows, std::size_t cols,
                           const float* bias) {
   for (std::size_t r = 0; r < rows; ++r) {
@@ -483,48 +414,12 @@ RECD_AVX2 void ReluMask(float* g, const float* pre, std::size_t n) {
   }
 }
 
-RECD_AVX2 void DenseNormalize(float* x, std::size_t n, float mean,
-                              float inv_scale) {
-  const __m256 mv = _mm256_set1_ps(mean);
-  const __m256 iv = _mm256_set1_ps(inv_scale);
-  std::size_t i = 0;
-  for (; i + kLanes <= n; i += kLanes) {
-    _mm256_storeu_ps(
-        x + i,
-        _mm256_mul_ps(_mm256_sub_ps(_mm256_loadu_ps(x + i), mv), iv));
-  }
-  for (; i < n; ++i) x[i] = (x[i] - mean) * inv_scale;
-}
-
-RECD_AVX2 void DenseClamp(float* x, std::size_t n, float lo, float hi) {
-  // std::clamp is (v < lo) ? lo : (hi < v) ? hi : v — apply the hi
-  // replacement first, then lo, so lo has the same priority as the
-  // nested ternary; NaN fails both ordered compares and passes through.
-  const __m256 lov = _mm256_set1_ps(lo);
-  const __m256 hiv = _mm256_set1_ps(hi);
-  std::size_t i = 0;
-  for (; i + kLanes <= n; i += kLanes) {
-    const __m256 v = _mm256_loadu_ps(x + i);
-    const __m256 gt = _mm256_cmp_ps(hiv, v, _CMP_LT_OQ);
-    const __m256 lt = _mm256_cmp_ps(v, lov, _CMP_LT_OQ);
-    __m256 r = _mm256_blendv_ps(v, hiv, gt);
-    r = _mm256_blendv_ps(r, lov, lt);
-    _mm256_storeu_ps(x + i, r);
-  }
-  for (; i < n; ++i) x[i] = std::clamp(x[i], lo, hi);
-}
-
 #undef RECD_AVX2
 
 #else  // !RECD_KERNELS_AVX2
 
 // Non-x86 (or non-GNU) builds: the dispatcher never selects simd::
 // (VectorizedAvailable() is false), but the symbols must exist.
-void PooledLookup(const tensor::JaggedTensor& batch, const float* weights,
-                  std::size_t hash_size, std::size_t dim, Pool pool,
-                  float* out) {
-  detail::PooledLookup(batch, weights, hash_size, dim, pool, out);
-}
 void SumPoolGroup(std::span<const GroupFeature> group, std::size_t dim,
                   float* out) {
   detail::SumPoolGroup(group, dim, out);
@@ -535,9 +430,9 @@ void FusedPooledLookup(std::span<const GroupFeature> group,
   detail::FusedPooledLookup(group, inverse, dim, out);
 }
 void ScatterSgdUpdate(const tensor::JaggedTensor& batch, const float* grad,
-                      Pool pool, float lr, float* weights,
-                      std::size_t hash_size, std::size_t dim) {
-  detail::ScatterSgdUpdate(batch, grad, pool, lr, weights, hash_size, dim);
+                      float lr, float* weights, std::size_t hash_size,
+                      std::size_t dim) {
+  detail::ScatterSgdUpdate(batch, grad, lr, weights, hash_size, dim);
 }
 void MatmulABt(const float* a, std::size_t m, std::size_t k, const float* b,
                std::size_t n, float* c) {
@@ -562,9 +457,6 @@ void InteractionBackward(const float* grad_out,
                          std::span<float* const> grads) {
   detail::InteractionBackward(grad_out, inputs, rows, d, grads);
 }
-void AddInPlace(float* dst, const float* src, std::size_t n) {
-  detail::AddInPlace(dst, src, n);
-}
 void AddRowBias(float* y, std::size_t rows, std::size_t cols,
                 const float* bias) {
   detail::AddRowBias(y, rows, cols, bias);
@@ -572,12 +464,6 @@ void AddRowBias(float* y, std::size_t rows, std::size_t cols,
 void ReluInPlace(float* v, std::size_t n) { detail::ReluInPlace(v, n); }
 void ReluMask(float* g, const float* pre, std::size_t n) {
   detail::ReluMask(g, pre, n);
-}
-void DenseNormalize(float* x, std::size_t n, float mean, float inv_scale) {
-  detail::DenseNormalize(x, n, mean, inv_scale);
-}
-void DenseClamp(float* x, std::size_t n, float lo, float hi) {
-  detail::DenseClamp(x, n, lo, hi);
 }
 
 #endif  // RECD_KERNELS_AVX2

@@ -9,16 +9,23 @@
 
 namespace recd::nn {
 
-namespace {
-kernels::Pool ToKernelPool(PoolingKind pooling) {
-  switch (pooling) {
-    case PoolingKind::kSum: return kernels::Pool::kSum;
-    case PoolingKind::kMean: return kernels::Pool::kMean;
-    case PoolingKind::kMax: return kernels::Pool::kMax;
+// Dense backend: the caller's ids over the weight matrix (`dense`).
+// Tiered backend: the referenced rows gathered once into `gathered`, in
+// first-appearance order, and `remapped` with the same jagged structure
+// but ids rewritten to gathered positions — feeding (remapped, gathered)
+// to a kernel runs the identical float-op sequence.
+struct EmbeddingTable::KernelFeature {
+  kernels::GroupFeature dense;  // jt == nullptr when store-backed
+  tensor::JaggedTensor remapped;
+  DenseMatrix gathered;
+  std::vector<std::size_t> row_ids;  // table rows, in gathered order
+
+  [[nodiscard]] kernels::GroupFeature feature() const {
+    if (dense.jt != nullptr) return dense;
+    return {&remapped, gathered.data().data(),
+            std::max<std::size_t>(gathered.rows(), 1)};
   }
-  throw std::invalid_argument("EmbeddingTable: unknown pooling kind");
-}
-}  // namespace
+};
 
 EmbeddingTable::EmbeddingTable(std::size_t hash_size, std::size_t dim,
                                common::Rng& rng) {
@@ -67,12 +74,16 @@ std::size_t EmbeddingTable::RowIndex(tensor::Id id) const {
   return static_cast<std::size_t>(u % hash_size());
 }
 
+// `row_weights` (one per jt row; empty = 1) are hot-tier admission
+// weights.
 EmbeddingTable::KernelFeature EmbeddingTable::MakeKernelFeature(
     const tensor::JaggedTensor& jt,
     std::span<const std::uint64_t> row_weights) const {
   KernelFeature view;
-  if (!store_) return view;  // dense pass-through
-  view.store_backed = true;
+  if (!store_) {
+    view.dense = {&jt, weights_.data().data(), weights_.rows()};
+    return view;
+  }
 
   // Map each referenced table row to a gathered position (first
   // appearance order), rewriting ids in place; accumulate the per-row
@@ -106,15 +117,6 @@ EmbeddingTable::KernelFeature EmbeddingTable::MakeKernelFeature(
   return view;
 }
 
-kernels::GroupFeature EmbeddingTable::GroupFeatureFor(
-    const KernelFeature& view, const tensor::JaggedTensor& original) const {
-  if (!view.store_backed) {
-    return {&original, weights_.data().data(), weights_.rows()};
-  }
-  return {&view.remapped, view.gathered.data().data(),
-          std::max<std::size_t>(view.gathered.rows(), 1)};
-}
-
 std::span<const float> EmbeddingTable::Lookup(tensor::Id id) const {
   if (!store_) return weights_.row(RowIndex(id));
   lookup_scratch_.resize(dim());
@@ -124,57 +126,49 @@ std::span<const float> EmbeddingTable::Lookup(tensor::Id id) const {
   return {lookup_scratch_.data(), lookup_scratch_.size()};
 }
 
-DenseMatrix EmbeddingTable::PooledForward(const tensor::JaggedTensor& batch,
-                                          PoolingKind pooling) {
-  const std::size_t d = dim();
-  DenseMatrix out(batch.num_rows(), d);
-  if (!store_) {
-    kernels::PooledLookup(backend_, batch, weights_.data().data(),
-                          weights_.rows(), d, ToKernelPool(pooling),
-                          out.data().data());
-  } else {
-    // Gather the referenced rows once, pool on the gathered scratch:
-    // the remap preserves id order and row bits, so the kernel runs
-    // the identical float-op sequence (bitwise-equal output).
-    const auto view = MakeKernelFeature(batch);
-    kernels::PooledLookup(backend_, view.remapped,
-                          view.gathered.data().data(),
-                          std::max<std::size_t>(view.gathered.rows(), 1), d,
-                          ToKernelPool(pooling), out.data().data());
+DenseMatrix SumPool(const std::vector<EmbeddingTable*>& tables,
+                    const std::vector<const tensor::JaggedTensor*>& jts,
+                    std::span<const std::int64_t> inverse) {
+  if (tables.empty() || tables.size() != jts.size()) {
+    throw std::invalid_argument("SumPool: need one table per jagged tensor");
   }
-  stats_.lookups += batch.total_values();
-  stats_.flops += 2ull * batch.total_values() * d;
-  stats_.bytes_read += batch.total_values() * d * sizeof(float);
-  stats_.bytes_written += out.byte_size();
-  return out;
-}
-
-DenseMatrix EmbeddingTable::FusedPooledForward(
-    const tensor::JaggedTensor& unique,
-    std::span<const std::int64_t> inverse) {
-  const std::size_t d = dim();
-  DenseMatrix out(inverse.size(), d);
-  if (!store_) {
-    const kernels::GroupFeature gf[] = {
-        {&unique, weights_.data().data(), weights_.rows()}};
-    kernels::FusedPooledLookup(backend_, gf, inverse, d, out.data().data());
-  } else {
-    // Inverse multiplicities are the admission weights: a unique row
-    // referenced by many batch slots charges its table rows with the
-    // full dedup skew.
-    std::vector<std::uint64_t> mult(unique.num_rows(), 0);
+  const std::size_t rows = jts.front()->num_rows();
+  const std::size_t d = tables.front()->dim();
+  // Inverse multiplicities are the admission weights: a unique row
+  // referenced by many batch slots charges its table rows with the full
+  // dedup skew.
+  std::vector<std::uint64_t> mult;
+  if (!inverse.empty()) {
+    mult.assign(rows, 0);
     for (const auto i : inverse) mult[static_cast<std::size_t>(i)] += 1;
-    const auto view = MakeKernelFeature(unique, mult);
-    const kernels::GroupFeature gf[] = {GroupFeatureFor(view, unique)};
-    kernels::FusedPooledLookup(backend_, gf, inverse, d, out.data().data());
   }
-  // Same accounting as PooledForward on the unique rows (the gather
-  // writes no new float math and the old two-step path counted only the
-  // unique-row pooling).
-  stats_.lookups += unique.total_values();
-  stats_.flops += 2ull * unique.total_values() * d;
-  stats_.bytes_read += unique.total_values() * d * sizeof(float);
-  stats_.bytes_written += unique.num_rows() * d * sizeof(float);
+  std::vector<EmbeddingTable::KernelFeature> views;
+  views.reserve(tables.size());
+  for (std::size_t k = 0; k < tables.size(); ++k) {
+    views.push_back(tables[k]->MakeKernelFeature(*jts[k], mult));
+  }
+  std::vector<kernels::GroupFeature> group;
+  group.reserve(views.size());
+  for (const auto& view : views) group.push_back(view.feature());
+
+  const auto backend = tables.front()->backend();
+  DenseMatrix out(inverse.empty() ? rows : inverse.size(), d);
+  if (inverse.empty()) {
+    kernels::SumPoolGroup(backend, group, d, out.data().data());
+  } else {
+    kernels::FusedPooledLookup(backend, group, inverse, d,
+                               out.data().data());
+  }
+  // Counted on the pooled (unique, for RecD) rows: the expansion writes
+  // no new float math.
+  for (std::size_t k = 0; k < tables.size(); ++k) {
+    const std::size_t values = jts[k]->total_values();
+    auto& stats = tables[k]->stats_;
+    stats.lookups += values;
+    stats.flops += 2ull * values * d;
+    stats.bytes_read += values * d * sizeof(float);
+    if (k == 0) stats.bytes_written += rows * d * sizeof(float);
+  }
   return out;
 }
 
@@ -197,19 +191,13 @@ DenseMatrix EmbeddingTable::SequenceForward(
 }
 
 void EmbeddingTable::ApplyPooledGradient(const tensor::JaggedTensor& batch,
-                                         const DenseMatrix& grad,
-                                         PoolingKind pooling, float lr) {
+                                         const DenseMatrix& grad, float lr) {
   if (grad.rows() != batch.num_rows() || grad.cols() != dim()) {
     throw std::invalid_argument(
         "EmbeddingTable::ApplyPooledGradient: shape mismatch");
   }
-  if (pooling == PoolingKind::kMax) {
-    throw std::invalid_argument(
-        "EmbeddingTable: max pooling backward unsupported");
-  }
   if (!store_) {
-    kernels::ScatterSgdUpdate(backend_, batch, grad.data().data(),
-                              ToKernelPool(pooling), lr,
+    kernels::ScatterSgdUpdate(backend_, batch, grad.data().data(), lr,
                               weights_.data().data(), weights_.rows(),
                               dim());
     return;
@@ -217,10 +205,9 @@ void EmbeddingTable::ApplyPooledGradient(const tensor::JaggedTensor& batch,
   // Gather → identical scatter sequence on the scratch → exact
   // write-back. Two ids sharing a table row share one gathered row, so
   // their updates chain in batch order exactly as on the dense backend.
-  auto view = MakeKernelFeature(batch);
+  auto view = MakeKernelFeature(batch, {});
   if (view.row_ids.empty()) return;
-  kernels::ScatterSgdUpdate(backend_, view.remapped, grad.data().data(),
-                            ToKernelPool(pooling), lr,
+  kernels::ScatterSgdUpdate(backend_, view.remapped, grad.data().data(), lr,
                             view.gathered.data().data(),
                             view.gathered.rows(), dim());
   store_->Update(view.row_ids, view.gathered.data().data());

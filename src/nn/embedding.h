@@ -1,7 +1,7 @@
 // Embedding tables with pooled lookups — the sparse half of a DLRM.
 //
-// EMBs translate each sparse ID into a dense vector; a pooling function
-// aggregates a row's vectors (paper §2.2). RecD's O5 performs lookups on
+// EMBs translate each sparse ID into a dense vector; SumPool aggregates
+// a row's vectors (paper §2.2). RecD's O5 performs lookups on
 // *deduplicated* values slices, cutting lookups, activation memory, and
 // memory bandwidth by DedupeFactor(f); the executed trainers exercise
 // both paths through this class and tests assert they agree exactly.
@@ -31,13 +31,32 @@
 #include "nn/op_stats.h"
 #include "tensor/jagged.h"
 
-namespace recd::kernels {
-struct GroupFeature;
-}  // namespace recd::kernels
-
 namespace recd::nn {
 
-enum class PoolingKind : std::uint8_t { kSum, kMean, kMax };
+class EmbeddingTable;
+
+/// Sum-pools one unit's features through their tables — the one pooling
+/// path of training, eval and serving (a single feature is a group of
+/// one). `tables` and `jts` pair up per feature; every table shares one
+/// dim and every jagged tensor one row count. out(r, :) is the sum over
+/// features k, then ids of jts[k] row r, of tables[k]'s looked-up rows;
+/// empty rows pool to zero.
+///
+/// Without `inverse`, out has the jagged rows. With `inverse` (an IKJT's
+/// inverse lookup over the unique rows in `jts`), each unique row is
+/// pooled once and written into every batch slot i with
+/// inverse[i] == u (RecD O5+O7 in one pass, no unique-row matrix):
+/// bitwise equal to pooling the unique rows and gathering through
+/// `inverse`. Every inverse entry must be in [0, unique rows); on tiered
+/// tables the inverse multiplicities are the hot-tier admission weights.
+///
+/// Runs on the first table's kernel backend; each table counts its own
+/// feature's lookups in its OpStats (the pooled output's bytes go to the
+/// first table).
+[[nodiscard]] DenseMatrix SumPool(
+    const std::vector<EmbeddingTable*>& tables,
+    const std::vector<const tensor::JaggedTensor*>& jts,
+    std::span<const std::int64_t> inverse = {});
 
 class EmbeddingTable {
  public:
@@ -62,32 +81,14 @@ class EmbeddingTable {
   /// any forward/backward call on this table.
   [[nodiscard]] std::span<const float> Lookup(tensor::Id id) const;
 
-  /// Pooled lookup over a jagged batch: out(r, :) = pool(rows of batch r).
-  /// Empty rows pool to zero.
-  [[nodiscard]] DenseMatrix PooledForward(const tensor::JaggedTensor& batch,
-                                          PoolingKind pooling);
-
   /// Un-pooled lookup: concatenated sequence embeddings, one row per
   /// value in the jagged batch (feeds attention pooling).
   [[nodiscard]] DenseMatrix SequenceForward(const tensor::JaggedTensor& batch);
 
-  /// Fused dedup-aware sum-pooled lookup (RecD O5+O7 in one pass):
-  /// pools each *unique* row once and writes the pooled vector into
-  /// every batch slot i with inverse[i] == u — bitwise-identical to
-  /// PooledForward(unique, kSum) followed by a row gather through
-  /// `inverse`, without materializing the unique-row matrix. Every
-  /// inverse entry must be in [0, unique.num_rows()). On a tiered
-  /// backend the inverse multiplicities double as hot-tier admission
-  /// weights (RecD's skew shapes the hot set).
-  [[nodiscard]] DenseMatrix FusedPooledForward(
-      const tensor::JaggedTensor& unique,
-      std::span<const std::int64_t> inverse);
-
-  /// Sparse SGD for sum/mean pooling: applies -lr * grad(r) to every ID
-  /// of row r (scaled by 1/len for mean). Max pooling is forward-only.
+  /// Sparse SGD for sum pooling: applies -lr * grad(r) to every ID of
+  /// row r, rows and ids in order.
   void ApplyPooledGradient(const tensor::JaggedTensor& batch,
-                           const DenseMatrix& grad, PoolingKind pooling,
-                           float lr);
+                           const DenseMatrix& grad, float lr);
 
   /// Full weight matrix (hash_size x dim) — the bitwise-equality
   /// surface of the distributed determinism tests and the checkpoint
@@ -123,34 +124,18 @@ class EmbeddingTable {
   [[nodiscard]] embstore::TierStats tier_stats() const;
   void ResetTierStats();
 
-  /// Kernel-ready view of `jt` against this table's storage, for the
-  /// grouped kernels (SumPoolGroup / FusedPooledLookup) that read raw
-  /// weight pointers. Dense backend: a pass-through (store_backed ==
-  /// false; feed the original jt and weights). Tiered backend: the
-  /// referenced rows are gathered once into `gathered` and `remapped`
-  /// holds the same jagged structure with ids rewritten to gathered
-  /// positions — feeding (remapped, gathered) to a kernel runs the
-  /// identical float-op sequence. `row_weights` (one per jt row; empty
-  /// = 1) are hot-tier admission weights — pass the IKJT inverse
-  /// multiplicities on dedup paths.
-  struct KernelFeature {
-    bool store_backed = false;
-    tensor::JaggedTensor remapped;
-    DenseMatrix gathered;
-    std::vector<std::size_t> row_ids;  // table rows, in gathered order
-  };
+ private:
+  friend DenseMatrix SumPool(const std::vector<EmbeddingTable*>&,
+                             const std::vector<const tensor::JaggedTensor*>&,
+                             std::span<const std::int64_t>);
+
+  // A jagged batch as the kernels read it against this table's storage;
+  // the tiered gather and id remap live in embedding.cpp.
+  struct KernelFeature;
   [[nodiscard]] KernelFeature MakeKernelFeature(
       const tensor::JaggedTensor& jt,
-      std::span<const std::uint64_t> row_weights = {}) const;
+      std::span<const std::uint64_t> row_weights) const;
 
-  /// Assembles the kernels::GroupFeature for `view` (which must have
-  /// been built from `original` by MakeKernelFeature on this table).
-  /// The result borrows from `view`/`original`/this — keep all three
-  /// alive across the kernel call.
-  [[nodiscard]] kernels::GroupFeature GroupFeatureFor(
-      const KernelFeature& view, const tensor::JaggedTensor& original) const;
-
- private:
   [[nodiscard]] std::size_t RowIndex(tensor::Id id) const;
 
   DenseMatrix weights_;  // dense backend; empty when store_ is set

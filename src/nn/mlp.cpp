@@ -71,10 +71,9 @@ void Linear::AccumulateGradients(const DenseMatrix& grad_w,
     throw std::invalid_argument(
         "Linear::AccumulateGradients: shape mismatch");
   }
-  kernels::AddInPlace(backend_, grad_w_.data().data(),
-                      grad_w.data().data(), grad_w_.size());
-  kernels::AddInPlace(backend_, grad_b_.data(), grad_b.data(),
-                      grad_b_.size());
+  kernels::AddInPlace(grad_w_.data().data(), grad_w.data().data(),
+                      grad_w_.size());
+  kernels::AddInPlace(grad_b_.data(), grad_b.data(), grad_b_.size());
 }
 
 void Linear::LoadParameters(DenseMatrix weights, std::vector<float> bias) {
@@ -137,10 +136,9 @@ void MlpGradients::Add(const MlpGradients& other) {
         other.grad_b[l].size() != grad_b[l].size()) {
       throw std::invalid_argument("MlpGradients::Add: shape mismatch");
     }
-    kernels::AddInPlace(kernels::DefaultBackend(), dst.data(), src.data(),
-                        dst.size());
-    kernels::AddInPlace(kernels::DefaultBackend(), grad_b[l].data(),
-                        other.grad_b[l].data(), grad_b[l].size());
+    kernels::AddInPlace(dst.data(), src.data(), dst.size());
+    kernels::AddInPlace(grad_b[l].data(), other.grad_b[l].data(),
+                        grad_b[l].size());
   }
 }
 

@@ -41,8 +41,7 @@ void ApplySparseTransform(const TransformSpec& spec,
   }
 }
 
-void ApplyDenseTransform(kernels::KernelBackend backend,
-                         const TransformSpec& spec, std::span<float> dense) {
+void ApplyDenseTransform(const TransformSpec& spec, std::span<float> dense) {
   switch (spec.kind) {
     case TransformKind::kDenseNormalize: {
       if (spec.b == 0) {
@@ -50,14 +49,13 @@ void ApplyDenseTransform(kernels::KernelBackend backend,
       }
       const float mean = static_cast<float>(spec.a);
       const float inv = 1.0f / static_cast<float>(spec.b);
-      kernels::DenseNormalize(backend, dense.data(), dense.size(), mean,
-                              inv);
+      kernels::DenseNormalize(dense.data(), dense.size(), mean, inv);
       return;
     }
     case TransformKind::kDenseClamp: {
       const float lo = static_cast<float>(spec.a);
       const float hi = static_cast<float>(spec.b);
-      kernels::DenseClamp(backend, dense.data(), dense.size(), lo, hi);
+      kernels::DenseClamp(dense.data(), dense.size(), lo, hi);
       return;
     }
     case TransformKind::kSparseHash:
@@ -65,10 +63,6 @@ void ApplyDenseTransform(kernels::KernelBackend backend,
       throw std::invalid_argument(
           "ApplyDenseTransform: sparse transform on dense values");
   }
-}
-
-void ApplyDenseTransform(const TransformSpec& spec, std::span<float> dense) {
-  ApplyDenseTransform(kernels::DefaultBackend(), spec, dense);
 }
 
 std::size_t SparseElementsTouched(const TransformSpec& spec,

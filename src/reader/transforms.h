@@ -12,7 +12,6 @@
 #include <string>
 #include <vector>
 
-#include "kernels/backend.h"
 #include "tensor/ikjt.h"
 #include "tensor/kjt.h"
 
@@ -41,13 +40,6 @@ void ApplySparseTransform(const TransformSpec& spec,
 
 /// Applies a dense transform to a row-major dense block in place.
 void ApplyDenseTransform(const TransformSpec& spec, std::span<float> dense);
-
-/// Backend-pinned variant (the overload above uses
-/// kernels::DefaultBackend()). Sparse transforms stay scalar either way
-/// (64-bit hash/mod math has no float lanes); dense normalize/clamp run
-/// through the vectorized kernels, bitwise-identically.
-void ApplyDenseTransform(kernels::KernelBackend backend,
-                         const TransformSpec& spec, std::span<float> dense);
 
 /// Counts the sparse elements a transform would touch — the O4 metric
 /// (deduplicated inputs shrink this by DedupeFactor).

@@ -387,8 +387,8 @@ void DistributedTrainer::RunRank(
   std::vector<std::vector<nn::DenseMatrix>> emb_send(num_ranks);
   for (std::size_t i = 0; i < owned_units.size(); ++i) {
     for (std::size_t s = 0; s < num_ranks; ++s) {
-      emb_send[s].push_back(PoolUnit(config_.backend, units_[owned_units[i]],
-                                     owned_in[s][i].jts, st.shard));
+      emb_send[s].push_back(
+          PoolUnit(units_[owned_units[i]], owned_in[s][i].jts, st.shard));
     }
   }
   auto emb_recv = group_.AllToAll<nn::DenseMatrix>(rank, std::move(emb_send),

@@ -5,7 +5,6 @@
 #include <span>
 #include <stdexcept>
 
-#include "kernels/kernels.h"
 #include "nn/loss.h"
 #include "tensor/jagged_ops.h"
 
@@ -61,7 +60,7 @@ std::vector<nn::DenseMatrix> ReferenceDlrm::PoolExpanded(
   std::vector<nn::DenseMatrix> pooled;
   pooled.reserve(units_.size());
   for (std::size_t u = 0; u < units_.size(); ++u) {
-    pooled.push_back(PoolUnit(dense_.backend, units_[u], ids[u], tables_));
+    pooled.push_back(PoolUnit(units_[u], ids[u], tables_));
   }
   return pooled;
 }
@@ -73,10 +72,7 @@ std::vector<nn::DenseMatrix> ReferenceDlrm::PoolSparse(
   for (std::size_t u = 0; u < units_.size(); ++u) {
     const auto& unit = units_[u];
     const bool group = unit.kind == PlacementUnit::Kind::kSequenceGroup;
-    // Sequence groups lead the unit order, one unit per group.
-    const bool attention = group && model_.sequence_groups[u].attention;
-    auto& first_table = tables_.Table(unit.table_ids[0]);
-    std::vector<const nn::EmbeddingTable*> tables;
+    std::vector<nn::EmbeddingTable*> tables;
     for (const auto id : unit.table_ids) tables.push_back(&tables_.Table(id));
     const auto* ikjt =
         recd ? GroupWith(batch, unit.features.front()) : nullptr;
@@ -84,7 +80,8 @@ std::vector<nn::DenseMatrix> ReferenceDlrm::PoolSparse(
       throw std::invalid_argument(
           "ReferenceDlrm: recd path requires IKJT groups in the batch");
     }
-    // RecD pools unique rows; the baseline expands every feature first.
+    // RecD pools unique rows and expands through the shared inverse
+    // (O5-O7); the baseline expands every feature first.
     std::vector<tensor::JaggedTensor> expanded;
     std::vector<const tensor::JaggedTensor*> jts;
     for (const auto& f : unit.features) {
@@ -95,10 +92,15 @@ std::vector<nn::DenseMatrix> ReferenceDlrm::PoolSparse(
       }
     }
     for (const auto& jt : expanded) jts.push_back(&jt);
+    const std::span<const std::int64_t> inverse =
+        ikjt != nullptr ? std::span(ikjt->inverse_lookup())
+                        : std::span<const std::int64_t>();
 
-    if (attention) {
+    // Sequence groups lead the unit order, one unit per group.
+    if (group && model_.sequence_groups[u].attention) {
       // Per row, the features' sequences are concatenated and pooled by
-      // attention; RecD then expands through the shared lookup (O7).
+      // attention. These lookups are not counted in the tables' OpStats
+      // (attention pooling is not yet on SumPool's path).
       const std::size_t rows = jts.front()->num_rows();
       nn::DenseMatrix pooled(rows, d);
       std::vector<float> seq;
@@ -112,29 +114,10 @@ std::vector<nn::DenseMatrix> ReferenceDlrm::PoolSparse(
         }
         attention_.PoolRow(seq, seq.size() / d, pooled.row(r));
       }
-      out.push_back(ikjt == nullptr
-                        ? std::move(pooled)
-                        : ExpandRows(pooled, ikjt->inverse_lookup()));
-    } else if (ikjt == nullptr) {
-      out.push_back(group ? SumPoolConcatGroup(dense_.backend, jts, tables)
-                          : first_table.PooledForward(*jts[0],
-                                                      nn::PoolingKind::kSum));
-    } else if (!group) {
-      out.push_back(
-          first_table.FusedPooledForward(*jts[0], ikjt->inverse_lookup()));
+      out.push_back(ikjt == nullptr ? std::move(pooled)
+                                    : ExpandRows(pooled, inverse));
     } else {
-      // Fused O5+O7: pool each unique row once, scatter into batch
-      // slots — no unique-row matrix, no separate gather pass. The
-      // inverse multiplicities feed the hot tier as admission weights
-      // when tables are store-backed.
-      const auto& inverse = ikjt->inverse_lookup();
-      std::vector<std::uint64_t> mult(jts.front()->num_rows(), 0);
-      for (const auto i : inverse) mult[static_cast<std::size_t>(i)] += 1;
-      const auto gfs = MakeGroupFeatures(jts, tables, mult);
-      nn::DenseMatrix m(inverse.size(), d);
-      kernels::FusedPooledLookup(dense_.backend, gfs.group, inverse, d,
-                                 m.data().data());
-      out.push_back(std::move(m));
+      out.push_back(nn::SumPool(tables, jts, inverse));
     }
   }
   return out;

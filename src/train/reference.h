@@ -72,8 +72,8 @@ class ReferenceDlrm {
 
  private:
   /// The forward's pooling, one matrix per unit in unit order:
-  /// attention for groups that ask for it, sum otherwise; with `recd`,
-  /// on unique IKJT rows through the fused kernels.
+  /// attention for groups that ask for it, nn::SumPool otherwise; with
+  /// `recd`, on unique IKJT rows expanded through the inverse.
   [[nodiscard]] std::vector<nn::DenseMatrix> PoolSparse(
       const reader::PreprocessedBatch& batch, bool recd);
   /// PoolUnit over every unit's expanded features (the reference never

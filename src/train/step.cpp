@@ -50,35 +50,6 @@ nn::DenseMatrix ExpandRows(const nn::DenseMatrix& pooled,
   return out;
 }
 
-GroupFeatureSet MakeGroupFeatures(
-    const std::vector<const tensor::JaggedTensor*>& jts,
-    const std::vector<const nn::EmbeddingTable*>& tables,
-    std::span<const std::uint64_t> row_weights) {
-  GroupFeatureSet out;
-  out.views.reserve(jts.size());
-  out.group.reserve(jts.size());
-  for (std::size_t k = 0; k < jts.size(); ++k) {
-    out.views.push_back(tables[k]->MakeKernelFeature(*jts[k], row_weights));
-    out.group.push_back(tables[k]->GroupFeatureFor(out.views[k], *jts[k]));
-  }
-  return out;
-}
-
-nn::DenseMatrix SumPoolConcatGroup(
-    kernels::KernelBackend backend,
-    const std::vector<const tensor::JaggedTensor*>& jts,
-    const std::vector<const nn::EmbeddingTable*>& tables) {
-  if (jts.empty() || jts.size() != tables.size()) {
-    throw std::invalid_argument(
-        "SumPoolConcatGroup: need one table per jagged tensor");
-  }
-  const std::size_t d = tables.front()->dim();
-  nn::DenseMatrix pooled(jts.front()->num_rows(), d);
-  const auto gfs = MakeGroupFeatures(jts, tables);
-  kernels::SumPoolGroup(backend, gfs.group, d, pooled.data().data());
-  return pooled;
-}
-
 namespace {
 
 nn::Mlp MakeMlp(const std::vector<std::size_t>& dims, std::uint64_t seed) {
@@ -135,24 +106,17 @@ std::vector<std::vector<tensor::JaggedTensor>> ExpandUnits(
   return ids;
 }
 
-nn::DenseMatrix PoolUnit(kernels::KernelBackend backend,
-                         const PlacementUnit& unit,
+nn::DenseMatrix PoolUnit(const PlacementUnit& unit,
                          const std::vector<tensor::JaggedTensor>& jts,
                          nn::EmbeddingShardView& tables) {
   RECD_TRACE_SCOPE("train/pool");
-  if (unit.kind != PlacementUnit::Kind::kSequenceGroup) {
-    return tables.Table(unit.table_ids[0])
-        .PooledForward(jts[0], nn::PoolingKind::kSum);
-  }
-  // Summing the concatenated sequence in order == summing each
-  // feature's lookups in concatenation order.
-  std::vector<const tensor::JaggedTensor*> group_jts;
-  std::vector<const nn::EmbeddingTable*> group_tables;
+  std::vector<nn::EmbeddingTable*> unit_tables;
+  std::vector<const tensor::JaggedTensor*> unit_jts;
   for (std::size_t k = 0; k < jts.size(); ++k) {
-    group_jts.push_back(&jts[k]);
-    group_tables.push_back(&tables.Table(unit.table_ids[k]));
+    unit_tables.push_back(&tables.Table(unit.table_ids[k]));
+    unit_jts.push_back(&jts[k]);
   }
-  return SumPoolConcatGroup(backend, group_jts, group_tables);
+  return nn::SumPool(unit_tables, unit_jts);
 }
 
 ChunkGradients DenseChunkStep(DenseReplica& dense,
@@ -228,9 +192,9 @@ void ApplyUnitGradient(const PlacementUnit& unit,
       // O6 on the owner: integer id expansion; float grads apply per
       // expanded row, preserving the baseline update order.
       table.ApplyPooledGradient(tensor::JaggedIndexSelect(jts[k], *inverse),
-                                grads, nn::PoolingKind::kSum, lr);
+                                grads, lr);
     } else {
-      table.ApplyPooledGradient(jts[k], grads, nn::PoolingKind::kSum, lr);
+      table.ApplyPooledGradient(jts[k], grads, lr);
     }
   }
 }

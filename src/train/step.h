@@ -46,27 +46,6 @@ inline constexpr std::size_t kGradChunks = 4;
 [[nodiscard]] nn::DenseMatrix ExpandRows(
     const nn::DenseMatrix& pooled, std::span<const std::int64_t> inverse);
 
-/// Kernel-ready group features plus the storage views that back them
-/// (`group` borrows from `views`). `row_weights` are hot-tier admission
-/// weights (see EmbeddingTable::MakeKernelFeature).
-struct GroupFeatureSet {
-  std::vector<nn::EmbeddingTable::KernelFeature> views;
-  std::vector<kernels::GroupFeature> group;
-};
-[[nodiscard]] GroupFeatureSet MakeGroupFeatures(
-    const std::vector<const tensor::JaggedTensor*>& jts,
-    const std::vector<const nn::EmbeddingTable*>& tables,
-    std::span<const std::uint64_t> row_weights = {});
-
-/// Sum-pools the concatenation of a sequence group's per-feature
-/// sequences: out(r, :) = sum of every looked-up embedding of row r
-/// across the group's features, in concatenation order. `jts` and
-/// `tables` pair up per feature.
-[[nodiscard]] nn::DenseMatrix SumPoolConcatGroup(
-    kernels::KernelBackend backend,
-    const std::vector<const tensor::JaggedTensor*>& jts,
-    const std::vector<const nn::EmbeddingTable*>& tables);
-
 /// The dense model, one per rank: bottom MLP (seeded from `seed`), top
 /// MLP (`seed + 1`), interaction, and the kernel backend of the step.
 struct DenseReplica {
@@ -97,11 +76,9 @@ void CheckTrainBatch(const reader::PreprocessedBatch& batch,
     const std::vector<PlacementUnit>& units, bool skip_dedup);
 
 /// Sum-pools one unit over `jts` (one jagged tensor per feature: batch,
-/// rank or unique IKJT rows): a sequence group through
-/// SumPoolConcatGroup, a single feature through PooledForward(kSum).
+/// rank or unique IKJT rows) through nn::SumPool at the jagged rows.
 [[nodiscard]] nn::DenseMatrix PoolUnit(
-    kernels::KernelBackend backend, const PlacementUnit& unit,
-    const std::vector<tensor::JaggedTensor>& jts,
+    const PlacementUnit& unit, const std::vector<tensor::JaggedTensor>& jts,
     nn::EmbeddingShardView& tables);
 
 /// A chunk's loss partial and MLP gradients, flattened (bottom then top,
@@ -121,7 +98,7 @@ struct ChunkGradients {
     const std::vector<nn::DenseMatrix>& pooled,
     std::vector<nn::DenseMatrix>& unit_grads);
 
-/// Sparse SGD for one unit: ApplyPooledGradient(kSum) of `grads` on each
+/// Sparse SGD for one unit: ApplyPooledGradient of `grads` on each
 /// feature's table, in row order. Given an `inverse` (unique RecD rows),
 /// the ids are first expanded through JaggedIndexSelect, so the float
 /// updates run per expanded row exactly as in the baseline.

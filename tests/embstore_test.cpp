@@ -552,12 +552,12 @@ TEST(EmbstoreEmbeddingTableTest, ForwardBackwardBitwiseMatchesDense) {
       ASSERT_TRUE(tiered.tiered());
       ASSERT_FALSE(dense.tiered());
 
-      const auto pd = dense.PooledForward(batch, nn::PoolingKind::kSum);
-      const auto pt = tiered.PooledForward(batch, nn::PoolingKind::kSum);
+      const auto pd = nn::SumPool({&dense}, {&batch});
+      const auto pt = nn::SumPool({&tiered}, {&batch});
       EXPECT_TRUE(BitwiseEq(pd, pt)) << "pooled cap=" << cap;
 
-      const auto fd = dense.FusedPooledForward(unique, inverse);
-      const auto ft = tiered.FusedPooledForward(unique, inverse);
+      const auto fd = nn::SumPool({&dense}, {&unique}, inverse);
+      const auto ft = nn::SumPool({&tiered}, {&unique}, inverse);
       EXPECT_TRUE(BitwiseEq(fd, ft)) << "fused cap=" << cap;
 
       DenseMatrix grad(batch.num_rows(), kDim);
@@ -565,10 +565,8 @@ TEST(EmbstoreEmbeddingTableTest, ForwardBackwardBitwiseMatchesDense) {
         grad.data()[i] = 0.01f * static_cast<float>(i % 17) - 0.05f;
       }
       for (int step = 0; step < 3; ++step) {
-        dense.ApplyPooledGradient(batch, grad, nn::PoolingKind::kSum,
-                                  0.05f);
-        tiered.ApplyPooledGradient(batch, grad, nn::PoolingKind::kSum,
-                                   0.05f);
+        dense.ApplyPooledGradient(batch, grad, 0.05f);
+        tiered.ApplyPooledGradient(batch, grad, 0.05f);
       }
       EXPECT_TRUE(BitwiseEq(dense.weights(), tiered.weights()))
           << "post-SGD cap=" << cap;
@@ -589,11 +587,11 @@ TEST(EmbstoreEmbeddingTableTest, EmptyBatchesAndRowsPoolToZero) {
   nn::EmbeddingTable table(16, 4, rng);
   table.UseTieredStore(Tier(2, 4));
   const auto all_empty = JaggedTensor::FromRows({{}, {}, {}});
-  const auto pooled = table.PooledForward(all_empty, nn::PoolingKind::kSum);
+  const auto pooled = nn::SumPool({&table}, {&all_empty});
   ASSERT_EQ(pooled.rows(), 3u);
   for (const float v : pooled.data()) EXPECT_EQ(v, 0.0f);
-  const auto none = table.PooledForward(JaggedTensor::FromRows({}),
-                                        nn::PoolingKind::kSum);
+  const auto no_rows = JaggedTensor::FromRows({});
+  const auto none = nn::SumPool({&table}, {&no_rows});
   EXPECT_EQ(none.rows(), 0u);
 }
 

@@ -92,24 +92,20 @@ TEST(KernelBackendTest, DefaultBackendIsStable) {
   EXPECT_EQ(DefaultBackend(), DefaultBackend());
 }
 
-// ------------------------------------------------------- pooled lookups --
+// ---------------------------------------------------------- sum pooling --
 
-TEST(KernelParityTest, PooledLookupAllPoolingsAndDims) {
+TEST(KernelParityTest, SumPoolGroupOneFeatureAllDims) {
   common::Rng rng(7);
   const auto batch = AwkwardBatch();
   const std::size_t hash_size = 17;
   for (const auto dim : kDims) {
     const auto weights = RandVec(hash_size * dim, rng);
-    for (const auto pool : {Pool::kSum, Pool::kMean, Pool::kMax}) {
-      std::vector<float> a(batch.num_rows() * dim, -1.0f);
-      std::vector<float> b(batch.num_rows() * dim, 1.0f);
-      PooledLookup(kS, batch, weights.data(), hash_size, dim, pool,
-                   a.data());
-      PooledLookup(kV, batch, weights.data(), hash_size, dim, pool,
-                   b.data());
-      EXPECT_TRUE(BitwiseEq(a, b)) << "dim " << dim << " pool "
-                                   << static_cast<int>(pool);
-    }
+    const GroupFeature group[] = {{&batch, weights.data(), hash_size}};
+    std::vector<float> a(batch.num_rows() * dim, -1.0f);
+    std::vector<float> b(batch.num_rows() * dim, 1.0f);
+    SumPoolGroup(kS, group, dim, a.data());
+    SumPoolGroup(kV, group, dim, b.data());
+    EXPECT_TRUE(BitwiseEq(a, b)) << "dim " << dim;
   }
 }
 
@@ -122,10 +118,11 @@ TEST(KernelParityTest, PooledLookupUnalignedWeights) {
   const auto storage = RandVec(hash_size * dim + 3, rng);
   const float* weights = storage.data() + 3;
   const auto batch = AwkwardBatch();
+  const GroupFeature group[] = {{&batch, weights, hash_size}};
   std::vector<float> a(batch.num_rows() * dim);
   std::vector<float> b(batch.num_rows() * dim);
-  PooledLookup(kS, batch, weights, hash_size, dim, Pool::kSum, a.data());
-  PooledLookup(kV, batch, weights, hash_size, dim, Pool::kSum, b.data());
+  SumPoolGroup(kS, group, dim, a.data());
+  SumPoolGroup(kV, group, dim, b.data());
   EXPECT_TRUE(BitwiseEq(a, b));
 }
 
@@ -165,16 +162,14 @@ TEST(KernelParityTest, ScatterSgdUpdate) {
   const auto batch = AwkwardBatch();
   const std::size_t hash_size = 17;
   for (const auto dim : kDims) {
-    for (const auto pool : {Pool::kSum, Pool::kMean}) {
-      auto wa = RandVec(hash_size * dim, rng);
-      auto wb = wa;
-      const auto grad = RandVec(batch.num_rows() * dim, rng);
-      ScatterSgdUpdate(kS, batch, grad.data(), pool, 0.05f, wa.data(),
-                       hash_size, dim);
-      ScatterSgdUpdate(kV, batch, grad.data(), pool, 0.05f, wb.data(),
-                       hash_size, dim);
-      EXPECT_TRUE(BitwiseEq(wa, wb)) << "dim " << dim;
-    }
+    auto wa = RandVec(hash_size * dim, rng);
+    auto wb = wa;
+    const auto grad = RandVec(batch.num_rows() * dim, rng);
+    ScatterSgdUpdate(kS, batch, grad.data(), 0.05f, wa.data(), hash_size,
+                     dim);
+    ScatterSgdUpdate(kV, batch, grad.data(), 0.05f, wb.data(), hash_size,
+                     dim);
+    EXPECT_TRUE(BitwiseEq(wa, wb)) << "dim " << dim;
   }
 }
 
@@ -566,16 +561,17 @@ TEST(KernelParityTest, ElementwiseKernels) {
     for (std::size_t i = 0; i < n; ++i) db[i] -= 0.05f * src[i];
     EXPECT_TRUE(BitwiseEq(da, db)) << "SgdUpdate n=" << n;
 
-    AddInPlace(kS, da.data(), src.data(), n);
-    AddInPlace(kV, db.data(), src.data(), n);
+    // The scalar-only kernels against their documented formulas.
+    AddInPlace(da.data(), src.data(), n);
+    for (std::size_t i = 0; i < n; ++i) db[i] += src[i];
     EXPECT_TRUE(BitwiseEq(da, db)) << "AddInPlace n=" << n;
 
-    DenseNormalize(kS, da.data(), n, 0.25f, 1.5f);
-    DenseNormalize(kV, db.data(), n, 0.25f, 1.5f);
+    DenseNormalize(da.data(), n, 0.25f, 1.5f);
+    for (std::size_t i = 0; i < n; ++i) db[i] = (db[i] - 0.25f) * 1.5f;
     EXPECT_TRUE(BitwiseEq(da, db)) << "DenseNormalize n=" << n;
 
-    DenseClamp(kS, da.data(), n, -0.5f, 0.5f);
-    DenseClamp(kV, db.data(), n, -0.5f, 0.5f);
+    DenseClamp(da.data(), n, -0.5f, 0.5f);
+    for (std::size_t i = 0; i < n; ++i) db[i] = std::clamp(db[i], -0.5f, 0.5f);
     EXPECT_TRUE(BitwiseEq(da, db)) << "DenseClamp n=" << n;
   }
 }
@@ -625,13 +621,18 @@ TEST(KernelParityTest, DenseClampPassesNaNThrough) {
   const float nan = std::numeric_limits<float>::quiet_NaN();
   std::vector<float> va = {nan, -5.0f, 5.0f, 0.1f, -0.0f, nan, 0.5f,
                            -0.5f, 3.0f};
-  auto vb = va;
-  DenseClamp(kS, va.data(), va.size(), -0.5f, 0.5f);
-  DenseClamp(kV, vb.data(), vb.size(), -0.5f, 0.5f);
-  EXPECT_TRUE(BitwiseEq(va, vb));
+  DenseClamp(va.data(), va.size(), -0.5f, 0.5f);
   EXPECT_TRUE(std::isnan(va[0]));  // std::clamp leaves NaN in place
+  EXPECT_TRUE(std::isnan(va[5]));
   EXPECT_EQ(va[1], -0.5f);
   EXPECT_EQ(va[2], 0.5f);
+  EXPECT_EQ(va[3], 0.1f);
+  // -0 is inside [lo, hi] and neither compare fires: it keeps its sign.
+  EXPECT_TRUE(std::signbit(va[4]));
+  EXPECT_EQ(va[4], 0.0f);
+  EXPECT_EQ(va[6], 0.5f);
+  EXPECT_EQ(va[7], -0.5f);
+  EXPECT_EQ(va[8], 0.5f);
 }
 
 // ------------------------------------------------- layer-level parity --
@@ -646,14 +647,14 @@ TEST(KernelLayerParityTest, EmbeddingTableTrainLoop) {
   const auto batch = AwkwardBatch();
   common::Rng grad_rng(53);
   for (int step = 0; step < 4; ++step) {
-    const auto fa = ta.PooledForward(batch, nn::PoolingKind::kSum);
-    const auto fb = tb.PooledForward(batch, nn::PoolingKind::kSum);
+    const auto fa = nn::SumPool({&ta}, {&batch});
+    const auto fb = nn::SumPool({&tb}, {&batch});
     EXPECT_TRUE(fa == fb) << "forward step " << step;
     nn::DenseMatrix grad(batch.num_rows(), 17);
     const auto g = RandVec(grad.size(), grad_rng);
     std::copy(g.begin(), g.end(), grad.data().begin());
-    ta.ApplyPooledGradient(batch, grad, nn::PoolingKind::kSum, 0.05f);
-    tb.ApplyPooledGradient(batch, grad, nn::PoolingKind::kSum, 0.05f);
+    ta.ApplyPooledGradient(batch, grad, 0.05f);
+    tb.ApplyPooledGradient(batch, grad, 0.05f);
     EXPECT_TRUE(ta.weights() == tb.weights()) << "weights step " << step;
   }
 }
@@ -668,11 +669,11 @@ TEST(KernelLayerParityTest, EmbeddingFusedMatchesPoolThenGather) {
   const auto unique = AwkwardBatch();
   const std::vector<std::int64_t> inverse = {1, 1, 4, 0, 7, 3, 3, 2, 6,
                                              5, 0, 0, 7};
-  const auto fused_a = ta.FusedPooledForward(unique, inverse);
-  const auto fused_b = tb.FusedPooledForward(unique, inverse);
+  const auto fused_a = nn::SumPool({&ta}, {&unique}, inverse);
+  const auto fused_b = nn::SumPool({&tb}, {&unique}, inverse);
   EXPECT_TRUE(fused_a == fused_b);
-  const auto two_step = train::ExpandRows(
-      ta.PooledForward(unique, nn::PoolingKind::kSum), inverse);
+  const auto two_step =
+      train::ExpandRows(nn::SumPool({&ta}, {&unique}), inverse);
   EXPECT_TRUE(fused_a == two_step);
 }
 

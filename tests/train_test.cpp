@@ -4,6 +4,10 @@
 // distributed trainer has its own suite (dist_train_test.cpp).
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+
+#include "common/hash.h"
 #include "datagen/generator.h"
 #include "datagen/presets.h"
 #include "etl/etl.h"
@@ -12,6 +16,7 @@
 #include "storage/table.h"
 #include "train/model.h"
 #include "train/reference.h"
+#include "train/step.h"
 
 namespace recd::train {
 namespace {
@@ -161,6 +166,74 @@ TEST(ReferenceDlrmTest, StatsAccumulateAndReset) {
   EXPECT_GT(dlrm.Stats().lookups, 0u);
   dlrm.ResetStats();
   EXPECT_EQ(dlrm.Stats().flops, 0u);
+}
+
+TEST(ReferenceDlrmTest, ForwardScoresAndColdBytesMatchGolden) {
+  // One number for Forward's scores and bytes_from_cold over RM1-RM3 x
+  // {base, RecD} x {dense, tiered}: two forwards per cell, so the second
+  // runs against the hot tier the first admitted. Recorded before the
+  // sum-pooling entry points collapsed into nn::SumPool.
+  std::uint64_t h = 0;
+  for (const auto kind : {datagen::RmKind::kRm1, datagen::RmKind::kRm2,
+                          datagen::RmKind::kRm3}) {
+    const auto fx = MakeFixture(64, 0.05, kind);
+    for (const bool tiered : {false, true}) {
+      for (const bool recd : {false, true}) {
+        auto model = fx.model;
+        model.tiering.enabled = tiered;
+        model.tiering.hot_capacity_rows = 256;
+        model.tiering.rows_per_segment = 64;
+        ReferenceDlrm dlrm(model, /*seed=*/7);
+        for (int k = 0; k < 2; ++k) {
+          const auto logits =
+              dlrm.Forward(recd ? fx.recd_batch : fx.base_batch, recd);
+          for (const float x : logits.data()) {
+            h = common::HashCombine(h, std::bit_cast<std::uint32_t>(x));
+          }
+        }
+        h = common::HashCombine(h, dlrm.TierStats().bytes_from_cold);
+      }
+    }
+  }
+  constexpr std::uint64_t kForwardGolden = 0xe86ac439b6cd4af2;
+  EXPECT_EQ(h, kForwardGolden) << std::hex << h;
+}
+
+TEST(ReferenceDlrmTest, ForwardCountsEverySumPooledLookup) {
+  // Serving's embedding_lookups reads these counters. Every sum-pooled
+  // unit counts its pooled values (RecD: the unique rows' values), the
+  // features of a sequence group included; attention-pooled groups are
+  // not counted.
+  for (const auto kind : {datagen::RmKind::kRm1, datagen::RmKind::kRm2}) {
+    const auto fx = MakeFixture(64, 0.05, kind);
+    const auto units = ModelPlacementUnits(fx.model);
+    ReferenceDlrm dlrm(fx.model, /*seed=*/7);
+    std::uint64_t counted[2] = {0, 0};
+    for (const bool recd : {false, true}) {
+      const auto& batch = recd ? fx.recd_batch : fx.base_batch;
+      std::uint64_t want = 0;
+      for (std::size_t u = 0; u < units.size(); ++u) {
+        const auto& unit = units[u];
+        if (unit.kind == PlacementUnit::Kind::kSequenceGroup &&
+            fx.model.sequence_groups[u].attention) {
+          continue;
+        }
+        const auto* ikjt =
+            recd ? GroupWith(batch, unit.features.front()) : nullptr;
+        for (const auto& f : unit.features) {
+          want += ikjt != nullptr ? ikjt->Unique(f).total_values()
+                                  : ExpandedFeature(batch, f).total_values();
+        }
+      }
+      dlrm.ResetStats();
+      (void)dlrm.Forward(batch, recd);
+      EXPECT_EQ(dlrm.Stats().lookups, want)
+          << "rm " << static_cast<int>(kind) << " recd " << recd;
+      counted[recd ? 1 : 0] = dlrm.Stats().lookups;
+    }
+    EXPECT_GT(counted[1], 0u);
+    EXPECT_LT(counted[1], counted[0]) << "rm " << static_cast<int>(kind);
+  }
 }
 
 TEST(ExpandRowsTest, GathersByInverseLookup) {
